@@ -6,13 +6,14 @@ adversaries, and checks each policy's competitive ratio against an exact
 offline oracle.
 """
 
-from .metric import EPS, General, Line, MetricSpace, Ring, SemiLine, Star, validate_space
+from .metric import EPS, General, Line, MetricSpace, Ring, SemiLine, Star
 from .instance import (
     CLOSED,
     COUNT_KNOWN,
     GenParams,
     Instance,
     LOCATIONS_KNOWN,
+    MAX_REQUESTS,
     OPEN,
     Request,
     decode,
@@ -22,7 +23,6 @@ from .instance import (
 )
 from .engine import (
     Adversary,
-    AdversaryScenario,
     Emission,
     Finish,
     MoveTo,
@@ -33,7 +33,7 @@ from .engine import (
     Trajectory,
     WaitForRelease,
     WaitUntil,
-    position_at,
+    pairing_error,
     simulate,
     verify_outcome,
 )
@@ -45,7 +45,6 @@ from .algorithms import (
     alpha,
     knapsack_select,
     make_policy,
-    tour_length,
     tour_stats,
 )
 from .adversaries import AdversaryRun, make_adversary, run_adversary

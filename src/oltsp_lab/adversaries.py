@@ -13,30 +13,33 @@ from typing import Dict, List, Optional
 
 from .engine import (
     Adversary,
-    AdversaryScenario,
     Emission,
     Outcome,
     Policy,
+    check_completion,
     simulate,
 )
 from .instance import CLOSED, COUNT_KNOWN, LOCATIONS_KNOWN, OPEN, Instance, Request
 from .metric import EPS, Point, Ring, SemiLine, Star
-from .oracle import opt_makespan
+from .oracle import DP_CAP, opt_makespan
 
 
 @dataclass(frozen=True)
 class AdversaryRun:
     materialized: Instance
     forced_completion: float
-    opt_completion: float
-    forced_ratio: float
+    opt_completion: Optional[float]  # None past the oracle cap
+    forced_ratio: Optional[float]
     outcome: Outcome
 
 
 def run_adversary(adversary: Adversary, policy: Policy, step_budget: int = 1_000_000) -> AdversaryRun:
-    out = simulate(AdversaryScenario(adversary), policy, step_budget=step_budget)
+    out = simulate(adversary, policy, step_budget=step_budget)
     inst = materialize(adversary, out)
+    if inst.n > DP_CAP:
+        return AdversaryRun(inst, out.completion, None, None, out)
     opt = opt_makespan(inst).makespan
+    check_completion(out.completion, opt)
     ratio = out.completion / opt if opt > EPS else math.inf
     return AdversaryRun(inst, out.completion, opt, ratio, out)
 

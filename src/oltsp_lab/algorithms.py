@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,8 +25,8 @@ from .engine import (
     WaitForRelease,
     WaitUntil,
 )
-from .instance import CLOSED, OPEN, Instance, Request
-from .metric import EPS, Point
+from .instance import CLOSED, MAX_REQUESTS, OPEN, Instance, Request
+from .metric import EPS, Point, distance_table
 
 ALG1_CAP = 9
 EXACT_KNAPSACK_CAP = 20
@@ -58,10 +58,6 @@ def tour_stats(space, variant: str, points: Dict[int, Point], order: Sequence[in
     return TourStats(tuple(order), total, tuple(prefix))
 
 
-def tour_length(space, variant: str, points: Dict[int, Point], order: Sequence[int]) -> float:
-    return tour_stats(space, variant, points, order).length
-
-
 def alpha(stats: TourStats, released_ids) -> float:
     """Released fraction of the tour, counting the leg into the first
     unreleased stop; 1 when everything is released."""
@@ -69,6 +65,34 @@ def alpha(stats: TourStats, released_ids) -> float:
         if rid not in released_ids:
             return stats.prefix[j] / stats.length if stats.length > 0 else 1.0
     return 1.0
+
+
+# Moves shared by the policies ---------------------------------------------------
+
+
+def finish(obs: Observation) -> Action:
+    """End of run: a closed run first returns to the origin."""
+    space = obs.ctx.space
+    o = space.origin()
+    if obs.ctx.variant == CLOSED and space.distance(obs.position, o) > EPS:
+        return MoveTo(o)
+    return Finish()
+
+
+def next_stop(points: Dict[int, Point], obs: Observation,
+              offset: Callable[[Point], Optional[float]]) -> Optional[Tuple[float, int]]:
+    """Next stop of a serve-with-wait sweep: ``(offset, id)`` of the unreleased,
+    unserved request with the smallest ``offset(point) >= -EPS``, ties to the
+    lowest id, or None.  ``offset`` is the distance left to travel along the
+    sweep to a point, or None for a point off the sweep."""
+    best = None
+    for rid, p in points.items():
+        if rid in obs.served or rid in obs.released:
+            continue
+        off = offset(p)
+        if off is not None and off >= -EPS and (best is None or (off, rid) < best):
+            best = (off, rid)
+    return best
 
 
 # Knapsack ---------------------------------------------------------------------
@@ -201,12 +225,8 @@ class Alg1General(Policy):
         self.points = dict(ctx.locations or {})
         if n == 0:
             return
-        space = ctx.space
-        o = space.origin()
         pts = [self.points[i + 1] for i in range(n)]
-        d0 = np.array([space.distance(o, p) for p in pts])
-        dret = np.array([space.distance(p, o) for p in pts])
-        dmat = np.array([[space.distance(a, b) for b in pts] for a in pts])
+        d0, dret, dmat = (np.array(t) for t in distance_table(ctx.space, pts))
 
         perms, leg_idx, bits = _perm_tables(n)
         m = len(perms)
@@ -229,9 +249,8 @@ class Alg1General(Policy):
         self.perms, self.prefix, self.ell = perms, prefix, ell
 
     def decide(self, obs: Observation) -> Action:
-        n = self.ctx.n
-        if n == 0:
-            return Finish()
+        if self.ctx.n == 0:
+            return finish(obs)
         if not self.started:
             act = self._waiting_step(obs)
             if act is not None:
@@ -276,18 +295,13 @@ class Alg1General(Policy):
         self.started = True
 
     def _tour_step(self, obs: Observation) -> Action:
-        space = self.ctx.space
         while self.cursor < len(self.order) and self.order[self.cursor] in obs.served:
             self.cursor += 1
         if self.cursor >= len(self.order):
-            if self.ctx.variant == CLOSED:
-                o = space.origin()
-                if space.distance(obs.position, o) > EPS:
-                    return MoveTo(o)
-            return Finish()
+            return finish(obs)
         rid = self.order[self.cursor]
         target = self.points[rid]
-        if space.distance(obs.position, target) <= EPS:
+        if self.ctx.space.distance(obs.position, target) <= EPS:
             return WaitForRelease(rid)
         return MoveTo(target)
 
@@ -318,10 +332,6 @@ class Alg2Ring(Policy):
         self.branch: Optional[int] = None
 
     def begin(self, ctx: PolicyContext) -> None:
-        if ctx.space.kind != "ring":
-            raise SimulationError("alg2-ring requires a ring instance")
-        if ctx.variant != CLOSED:
-            raise SimulationError("alg2-ring handles the closed variant only")
         self.ctx = ctx
         self.c = ctx.space.circumference
         self.points = {rid: ctx.space.norm(p) for rid, p in (ctx.locations or {}).items()}
@@ -370,11 +380,16 @@ class Alg2Ring(Policy):
 
     # movement helpers ----------------------------------------------------
 
+    def _arc(self, cur: float, target: float, d: float) -> float:
+        """Arc from ``cur`` to ``target`` in direction ``d``; a full loop is 0."""
+        arc = ((target - cur) * d) % self.c
+        return 0.0 if arc >= self.c - EPS else arc
+
     def _arc_step(self, obs: Observation, target: float, clockwise: bool) -> Optional[Action]:
         cur = self.ctx.space.norm(obs.position)
         d = 1.0 if clockwise else -1.0
-        arc = ((target - cur) * d) % self.c
-        if arc <= EPS or arc >= self.c - EPS:
+        arc = self._arc(cur, target, d)
+        if arc <= EPS:
             return None
         hop = min(arc, self.c / 4)
         return MoveTo(self.ctx.space.norm(cur + d * hop))
@@ -383,22 +398,17 @@ class Alg2Ring(Policy):
         """Serve-with-wait sweep toward ``end``: stop at unreleased requests."""
         cur = self.ctx.space.norm(obs.position)
         d = 1.0 if clockwise else -1.0
-        remaining = ((end - cur) * d) % self.c
-        if remaining >= self.c - EPS:
-            remaining = 0.0
-        stop_off, stop_rid = None, None
-        for rid, p in self.points.items():
-            if rid in obs.served or rid in obs.released:
-                continue
-            off = ((p - cur) * d) % self.c
-            if off >= self.c - EPS:
-                off = 0.0
-            if off <= remaining + EPS and (stop_off is None or off < stop_off):
-                stop_off, stop_rid = off, rid
-        if stop_rid is not None:
-            if stop_off <= EPS:
-                return WaitForRelease(stop_rid)
-            return self._arc_step(obs, self.points[stop_rid], clockwise)
+        remaining = self._arc(cur, end, d)
+
+        def offset(p: float) -> Optional[float]:
+            off = self._arc(cur, p, d)
+            return off if off <= remaining + EPS else None
+
+        stop = next_stop(self.points, obs, offset)
+        if stop is not None:
+            if stop[0] <= EPS:
+                return WaitForRelease(stop[1])
+            return self._arc_step(obs, self.points[stop[1]], clockwise)
         if remaining <= EPS:
             return None
         return self._arc_step(obs, end, clockwise)
@@ -434,10 +444,10 @@ class Alg2Ring(Policy):
             return self.delegate.decide(obs)
         n = self.ctx.n
         if n == 0:
-            return Finish()
+            return finish(obs)
         if self.branch == 2 and not self.legs:
             if len(obs.served) == n:  # everything happened at the origin
-                return Finish()
+                return finish(obs)
             w = self._find_window(obs)
             if w is None:
                 return WaitForRelease(None)
@@ -450,11 +460,11 @@ class Alg2Ring(Policy):
     def _run_legs(self, obs: Observation) -> Action:
         while True:
             if self.ptr >= len(self.legs):
-                return Finish()
+                return finish(obs)
             leg = self.legs[self.ptr]
             if leg[0] == "skip_if_done":
                 if all(rid in obs.served for rid in self.points):
-                    return Finish()
+                    return finish(obs)
                 self.ptr += 1
                 continue
             if leg[0] == "go":
@@ -487,12 +497,8 @@ class Alg2Ring(Policy):
         return act
 
     def _mop_wait(self, obs: Observation, target: float) -> Optional[Action]:
-        for rid, p in self.points.items():
-            if rid in obs.served or rid in obs.released:
-                continue
-            if abs(p - target) <= EPS:
-                return WaitForRelease(rid)
-        return None
+        stop = next_stop(self.points, obs, lambda p: 0.0 if abs(p - target) <= EPS else None)
+        return None if stop is None else WaitForRelease(stop[1])
 
 
 # Star policy (closed) -----------------------------------------------------------
@@ -545,10 +551,6 @@ class Alg3Star(Policy):
         self.summaries: List[RaySummary] = []
 
     def begin(self, ctx: PolicyContext) -> None:
-        if ctx.space.kind != "star":
-            raise SimulationError("alg3-star requires a star instance")
-        if ctx.variant != CLOSED:
-            raise SimulationError("alg3-star handles the closed variant only")
         self.ctx = ctx
         self.points = dict(ctx.locations or {})
         k = ctx.space.ray_count
@@ -571,9 +573,7 @@ class Alg3Star(Policy):
         space = self.ctx.space
         o = space.origin()
         if len(obs.served) == self.ctx.n:
-            if space.distance(obs.position, o) > EPS:
-                return MoveTo(o)
-            return Finish()
+            return finish(obs)
 
         if self.phase == "case1_out":
             tip = (self.big_ray, self.ray_len[self.big_ray])
@@ -614,22 +614,14 @@ class Alg3Star(Policy):
         raise SimulationError(f"alg3 in unexpected phase {self.phase}")
 
     def _ray_sweep_in(self, obs: Observation, ray: int) -> Optional[Action]:
-        space = self.ctx.space
         pos = obs.position
         depth = pos[1] if isinstance(pos, tuple) and pos[0] == ray else 0.0
-        stops = [
-            (d, rid)
-            for rid, (r, d) in self.points.items()
-            if rid not in obs.served
-            and rid not in obs.released
-            and (r == ray or d <= EPS)
-            and d <= depth + EPS
-        ]
-        if stops:
-            d, rid = max(stops)
-            if abs(d - depth) <= EPS:
-                return WaitForRelease(rid)
-            return MoveTo((ray, d))
+        stop = next_stop(self.points, obs,
+                         lambda p: depth - p[1] if p[0] == ray or p[1] <= EPS else None)
+        if stop is not None:
+            if stop[0] <= EPS:
+                return WaitForRelease(stop[1])
+            return MoveTo((ray, self.points[stop[1]][1]))
         if depth > EPS:
             return MoveTo((ray, 0.0))
         return None
@@ -692,10 +684,6 @@ class Alg4Semiline(Policy):
         self.x_frozen: Optional[float] = None
 
     def begin(self, ctx: PolicyContext) -> None:
-        if ctx.space.kind != "semiline":
-            raise SimulationError("alg4-semiline requires a semi-line instance")
-        if ctx.variant != OPEN:
-            raise SimulationError("alg4-semiline handles the open variant only")
         self.ctx = ctx
         self.points = dict(ctx.locations or {})
         self.limit = max(self.points.values(), default=0.0)
@@ -706,7 +694,7 @@ class Alg4Semiline(Policy):
 
     def decide(self, obs: Observation) -> Action:
         if self.ctx.n == 0 or len(obs.served) == self.ctx.n:
-            return Finish()
+            return finish(obs)
         limit = self.limit
         pos = obs.position
         x = self._lowest_unreleased(obs)
@@ -765,26 +753,18 @@ class Alg4Semiline(Policy):
     def _sweep(self, obs: Observation, rightward: bool) -> Action:
         pos = obs.position
         sign = 1.0 if rightward else -1.0
-        stops = [
-            (p, rid)
-            for rid, p in self.points.items()
-            if rid not in obs.served
-            and rid not in obs.released
-            and (p - pos) * sign >= -EPS
-        ]
-        if stops:
-            stops.sort(key=lambda t: ((t[0] - pos) * sign, t[1]))
-            p, rid = stops[0]
-            if (p - pos) * sign <= EPS:
-                return WaitForRelease(rid)
-            return MoveTo(p)
+        stop = next_stop(self.points, obs, lambda p: (p - pos) * sign)
+        if stop is not None:
+            if stop[0] <= EPS:
+                return WaitForRelease(stop[1])
+            return MoveTo(self.points[stop[1]])
         ahead = [
             p for rid, p in self.points.items()
             if rid not in obs.served and (p - pos) * sign > EPS
         ]
         if ahead:
             return MoveTo(max(ahead) if rightward else min(ahead))
-        return Finish() if len(obs.served) == self.ctx.n else WaitForRelease(None)
+        return finish(obs) if len(obs.served) == self.ctx.n else WaitForRelease(None)
 
 
 class Alg5Semiline(Policy):
@@ -800,10 +780,6 @@ class Alg5Semiline(Policy):
         self.reached_tip = False
 
     def begin(self, ctx: PolicyContext) -> None:
-        if ctx.space.kind != "semiline":
-            raise SimulationError("alg5-semiline requires a semi-line instance")
-        if ctx.variant != CLOSED:
-            raise SimulationError("alg5-semiline handles the closed variant only")
         self.ctx = ctx
         self.points = dict(ctx.locations or {})
         self.limit = max(self.points.values(), default=0.0)
@@ -811,24 +787,16 @@ class Alg5Semiline(Policy):
     def decide(self, obs: Observation) -> Action:
         pos = obs.position
         if self.ctx.n == 0 or len(obs.served) == self.ctx.n:
-            if pos > EPS:
-                return MoveTo(0.0)
-            return Finish()
+            return finish(obs)
         if not self.reached_tip:
             if pos < self.limit - EPS:
                 return MoveTo(self.limit)
             self.reached_tip = True
-        stops = [
-            (p, rid)
-            for rid, p in self.points.items()
-            if rid not in obs.served and rid not in obs.released and p <= pos + EPS
-        ]
-        if stops:
-            stops.sort(key=lambda t: (pos - t[0], t[1]))
-            p, rid = stops[0]
-            if pos - p <= EPS:
-                return WaitForRelease(rid)
-            return MoveTo(p)
+        stop = next_stop(self.points, obs, lambda p: pos - p)
+        if stop is not None:
+            if stop[0] <= EPS:
+                return WaitForRelease(stop[1])
+            return MoveTo(self.points[stop[1]])
         lows = [p for rid, p in self.points.items() if rid not in obs.served and p <= pos + EPS]
         if lows:
             return MoveTo(min(lows))
@@ -850,25 +818,21 @@ class WaitAll(Policy):
         self.cursor = 0
 
     def begin(self, ctx: PolicyContext) -> None:
-        if ctx.n > 18:
-            raise SimulationError("wait-all is capped at 18 requests (exact tour)")
+        if ctx.n > MAX_REQUESTS:
+            raise SimulationError(f"wait-all is capped at {MAX_REQUESTS} requests (exact tour)")
         self.ctx = ctx
 
     def decide(self, obs: Observation) -> Action:
         from .oracle import opt_makespan
 
-        space = self.ctx.space
-        o = space.origin()
         if len(obs.served) == self.ctx.n:
-            if self.ctx.variant == CLOSED and space.distance(obs.position, o) > EPS:
-                return MoveTo(o)
-            return Finish()
+            return finish(obs)
         if len(obs.released) < self.ctx.n:
             return WaitForRelease(None)
         if self.order is None:
             remaining = sorted(set(obs.released) - set(obs.served))
             synthetic = Instance(
-                space=space,
+                space=self.ctx.space,
                 variant=self.ctx.variant,
                 requests=tuple(
                     Request(i + 1, obs.released[rid].point, 0.0)
@@ -881,9 +845,7 @@ class WaitAll(Policy):
             self.cursor += 1
         if self.cursor < len(self.order):
             return MoveTo(obs.released[self.order[self.cursor]].point)
-        if self.ctx.variant == CLOSED and space.distance(obs.position, o) > EPS:
-            return MoveTo(o)
-        return Finish()
+        return finish(obs)
 
 
 class Greedy(Policy):
@@ -901,9 +863,7 @@ class Greedy(Policy):
         candidates = [rid for rid in obs.released if rid not in obs.served]
         if not candidates:
             if len(obs.served) == self.ctx.n:
-                if self.ctx.variant == CLOSED and space.distance(obs.position, o) > EPS:
-                    return MoveTo(o)
-                return Finish()
+                return finish(obs)
             if space.distance(obs.position, o) > EPS:
                 return MoveTo(o)
             return WaitForRelease(None)

@@ -13,7 +13,14 @@ from typing import List, Optional, Sequence
 
 from . import adversaries as adv_mod
 from . import algorithms as alg_mod
-from .engine import SimulationError, outcome_to_text, simulate, verify_outcome
+from .engine import (
+    SimulationError,
+    check_completion,
+    outcome_to_text,
+    pairing_error,
+    simulate,
+    verify_outcome,
+)
 from .instance import (
     CLOSED,
     COUNT_KNOWN,
@@ -26,7 +33,7 @@ from .instance import (
     generate_random,
     validate_instance,
 )
-from .metric import EPS
+from .metric import EPS, SPACE_KINDS
 from .oracle import DP_CAP, opt_makespan
 
 USAGE_ERROR = 2
@@ -90,21 +97,6 @@ def report(rows: Sequence[BatchRow], fmt: str, bound: Optional[float],
     return "\n".join(lines) + "\n"
 
 
-def _check_pairing(policy, inst_kind: str, variant: str, knowledge: str) -> Optional[str]:
-    req_kind = getattr(policy, "requires_kind", None)
-    req_variant = getattr(policy, "requires_variant", None)
-    if req_kind and req_kind != inst_kind:
-        return f"policy {policy.name!r} requires a {req_kind} space, got {inst_kind}"
-    if req_variant and req_variant != variant:
-        return f"policy {policy.name!r} requires the {req_variant} variant, got {variant}"
-    if policy.needs_locations and knowledge == COUNT_KNOWN:
-        return (
-            f"policy {policy.name!r} needs known locations but the scenario "
-            "reveals only the request count"
-        )
-    return None
-
-
 def _cmd_simulate(args) -> int:
     with open(args.instance, "r", encoding="utf-8") as fh:
         inst = decode(fh.read())
@@ -113,7 +105,7 @@ def _cmd_simulate(args) -> int:
         print("invalid instance: " + "; ".join(issues), file=sys.stderr)
         return BOUND_ERROR
     policy = alg_mod.make_policy(args.policy)
-    msg = _check_pairing(policy, inst.space.kind, inst.variant, inst.knowledge)
+    msg = pairing_error(policy, inst.space.kind, inst.variant, inst.knowledge)
     if msg:
         print(msg, file=sys.stderr)
         return USAGE_ERROR
@@ -125,6 +117,7 @@ def _cmd_simulate(args) -> int:
     line = f"completion {_num(out.completion)}"
     if inst.n <= DP_CAP:
         opt = opt_makespan(inst).makespan
+        check_completion(out.completion, opt)
         if opt > EPS:
             line += f", opt {_num(opt)}, ratio {_num(out.completion / opt)}"
         else:
@@ -147,26 +140,34 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _gen_instance(kind: str, n: int, seed: int, horizon: float, variant: str,
-                  knowledge: str, space_args: dict) -> Instance:
-    params = GenParams(n=n, seed=seed, release_horizon=horizon, space_params=space_args)
-    return generate_random(params, kind, variant=variant, knowledge=knowledge)
+def _add_space_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--kind", required=True, choices=SPACE_KINDS)
+    parser.add_argument("--circumference", type=float, default=1.0)
+    parser.add_argument("--rays", type=int, default=5)
+    parser.add_argument("--length", type=float, default=1.0)
+    parser.add_argument("--asymmetric", action="store_true")
+    parser.add_argument("--non-line-like", action="store_true")
+
+
+def _space_args(args) -> dict:
+    """Generator space parameters of ``args.kind`` from the space options."""
+    return {
+        "ring": {"circumference": args.circumference, "non_line_like": args.non_line_like},
+        "star": {"ray_count": args.rays, "depth_max": args.length},
+        "semiline": {"length": args.length},
+        "line": {"half_width": args.length},
+        "general": {"asymmetric": args.asymmetric},
+    }[args.kind]
+
+
+def _gen_instance(args, seed: int, knowledge: str) -> Instance:
+    params = GenParams(n=args.n, seed=seed, release_horizon=args.horizon,
+                       space_params=_space_args(args))
+    return generate_random(params, args.kind, variant=args.variant, knowledge=knowledge)
 
 
 def _cmd_gen(args) -> int:
-    space_args = {}
-    if args.kind == "ring":
-        space_args = {"circumference": args.circumference, "non_line_like": args.non_line_like}
-    elif args.kind == "star":
-        space_args = {"ray_count": args.rays, "depth_max": args.length}
-    elif args.kind == "semiline":
-        space_args = {"length": args.length}
-    elif args.kind == "line":
-        space_args = {"half_width": args.length}
-    elif args.kind == "general":
-        space_args = {"asymmetric": args.asymmetric}
-    inst = _gen_instance(args.kind, args.n, args.seed, args.horizon,
-                         args.variant, args.knowledge, space_args)
+    inst = _gen_instance(args, args.seed, args.knowledge)
     text = encode(inst)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -177,29 +178,15 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    policy_probe = alg_mod.make_policy(args.policy)
-    msg = _check_pairing(policy_probe, args.kind, args.variant,
-                         LOCATIONS_KNOWN if not args.count_known else COUNT_KNOWN)
+    knowledge = COUNT_KNOWN if args.count_known else LOCATIONS_KNOWN
+    msg = pairing_error(alg_mod.make_policy(args.policy), args.kind, args.variant, knowledge)
     if msg:
         print(msg, file=sys.stderr)
         return USAGE_ERROR
-    space_args = {}
-    if args.kind == "ring":
-        space_args = {"circumference": args.circumference, "non_line_like": args.non_line_like}
-    elif args.kind == "star":
-        space_args = {"ray_count": args.rays, "depth_max": args.length}
-    elif args.kind == "semiline":
-        space_args = {"length": args.length}
-    elif args.kind == "line":
-        space_args = {"half_width": args.length}
-    elif args.kind == "general":
-        space_args = {"asymmetric": args.asymmetric}
-    knowledge = COUNT_KNOWN if args.count_known else LOCATIONS_KNOWN
     rows: List[BatchRow] = []
     for i in range(args.count):
         seed = args.seed + i
-        inst = _gen_instance(args.kind, args.n, seed, args.horizon, args.variant,
-                             knowledge, space_args)
+        inst = _gen_instance(args, seed, knowledge)
         policy = alg_mod.make_policy(args.policy)
         out = simulate(inst, policy)
         bad = verify_outcome(inst, out)
@@ -207,6 +194,7 @@ def _cmd_batch(args) -> int:
             print(f"seed {seed}: infeasible outcome: " + "; ".join(bad), file=sys.stderr)
             return BOUND_ERROR
         opt = opt_makespan(inst).makespan
+        check_completion(out.completion, opt)
         ratio = out.completion / opt if opt > EPS else (1.0 if out.completion <= EPS else float("inf"))
         rows.append(BatchRow(seed, args.policy, out.completion, opt, ratio))
     params = {
@@ -234,16 +222,16 @@ def _cmd_batch(args) -> int:
 def _cmd_adversary(args) -> int:
     adversary = adv_mod.make_adversary(args.name, args.epsilon)
     policy = alg_mod.make_policy(args.policy)
-    msg = _check_pairing(policy, adversary.space.kind, adversary.variant,
-                         adversary.knowledge)
+    msg = pairing_error(policy, adversary.space.kind, adversary.variant, adversary.knowledge)
     if msg:
         print(msg, file=sys.stderr)
         return USAGE_ERROR
     run = adv_mod.run_adversary(adversary, policy)
-    print(
-        f"forced {_num(run.forced_completion)}, opt {_num(run.opt_completion)}, "
-        f"ratio {_num(run.forced_ratio)}"
-    )
+    if run.opt_completion is None:
+        opt = f"opt unavailable (n={run.materialized.n} > oracle cap {DP_CAP})"
+    else:
+        opt = f"opt {_num(run.opt_completion)}, ratio {_num(run.forced_ratio)}"
+    print(f"forced {_num(run.forced_completion)}, {opt}")
     if args.dump_instance:
         with open(args.dump_instance, "w", encoding="utf-8") as fh:
             fh.write(encode(run.materialized))
@@ -269,8 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc.set_defaults(func=_cmd_oracle)
 
     gen = sub.add_parser("gen", help="generate a seeded random instance")
-    gen.add_argument("--kind", required=True,
-                     choices=["semiline", "line", "ring", "star", "general"])
+    _add_space_args(gen)
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--horizon", type=float, default=1.0)
@@ -278,16 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--knowledge", choices=[LOCATIONS_KNOWN, COUNT_KNOWN],
                      default=LOCATIONS_KNOWN)
     gen.add_argument("--out")
-    gen.add_argument("--circumference", type=float, default=1.0)
-    gen.add_argument("--rays", type=int, default=5)
-    gen.add_argument("--length", type=float, default=1.0)
-    gen.add_argument("--asymmetric", action="store_true")
-    gen.add_argument("--non-line-like", action="store_true")
     gen.set_defaults(func=_cmd_gen)
 
     bat = sub.add_parser("batch", help="seeded ratio experiment against the oracle")
-    bat.add_argument("--kind", required=True,
-                     choices=["semiline", "line", "ring", "star", "general"])
+    _add_space_args(bat)
     bat.add_argument("--variant", choices=[OPEN, CLOSED], required=True)
     bat.add_argument("--policy", required=True)
     bat.add_argument("--count", type=int, required=True)
@@ -298,11 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     bat.add_argument("--horizon", type=float, default=1.0)
     bat.add_argument("--out")
     bat.add_argument("--count-known", action="store_true")
-    bat.add_argument("--circumference", type=float, default=1.0)
-    bat.add_argument("--rays", type=int, default=5)
-    bat.add_argument("--length", type=float, default=1.0)
-    bat.add_argument("--asymmetric", action="store_true")
-    bat.add_argument("--non-line-like", action="store_true")
     bat.set_defaults(func=_cmd_batch)
 
     adv = sub.add_parser("adversary", help="run an adaptive lower-bound construction")

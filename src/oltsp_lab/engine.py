@@ -74,6 +74,8 @@ class Policy:
 
     name = "policy"
     needs_locations = False
+    requires_kind: Optional[str] = None  # space kind the policy is defined on
+    requires_variant: Optional[str] = None
 
     def begin(self, ctx: PolicyContext) -> None:
         pass
@@ -114,28 +116,25 @@ class Adversary:
         return []
 
 
-@dataclass
-class AdversaryScenario:
-    adversary: Adversary
-
-    @property
-    def space(self) -> MetricSpace:
-        return self.adversary.space
-
-    @property
-    def variant(self) -> str:
-        return self.adversary.variant
-
-    @property
-    def knowledge(self) -> str:
-        return self.adversary.knowledge
-
-    @property
-    def n(self) -> int:
-        return self.adversary.n
+Scenario = Union[Instance, Adversary]
 
 
-Scenario = Union[Instance, AdversaryScenario]
+def pairing_error(policy: Policy, kind: str, variant: str, knowledge: str) -> Optional[str]:
+    """Why ``policy`` cannot run on a scenario of this space kind, variant and
+    knowledge model, or None when it can."""
+    if policy.requires_kind and policy.requires_kind != kind:
+        return f"policy {policy.name!r} requires a {policy.requires_kind} space, got {kind}"
+    if policy.requires_variant and policy.requires_variant != variant:
+        return (
+            f"policy {policy.name!r} requires the {policy.requires_variant} variant, "
+            f"got {variant}"
+        )
+    if policy.needs_locations and knowledge == COUNT_KNOWN:
+        return (
+            f"policy {policy.name!r} needs known locations but the scenario "
+            "reveals only the request count"
+        )
+    return None
 
 
 # Trajectories and outcomes ----------------------------------------------------
@@ -171,10 +170,6 @@ class Trajectory:
         return self.space.plan_move(a.point, b.point).point_at(max(0.0, t - a.time))
 
 
-def position_at(traj: Trajectory, t: float) -> Point:
-    return traj.position_at(t)
-
-
 @dataclass(frozen=True)
 class Outcome:
     completion: float
@@ -197,11 +192,9 @@ def simulate(scenario: Scenario, policy: Policy, step_budget: int = 1_000_000) -
     space = scenario.space
     variant = scenario.variant
     knowledge = scenario.knowledge
-    if policy.needs_locations and knowledge == COUNT_KNOWN:
-        raise SimulationError(
-            f"policy {policy.name!r} needs known locations but the scenario "
-            "only reveals the request count"
-        )
+    refusal = pairing_error(policy, space.kind, variant, knowledge)
+    if refusal:
+        raise SimulationError(refusal)
 
     adversary: Optional[Adversary] = None
     requests: Dict[int, _Pending] = {}
@@ -214,7 +207,7 @@ def simulate(scenario: Scenario, policy: Policy, step_budget: int = 1_000_000) -
             requests[req.id] = _Pending(req.point, req.release)
             heapq.heappush(schedule, (req.release, req.id))
     else:
-        adversary = scenario.adversary
+        adversary = scenario
         n_total = adversary.n
         announced = adversary.announced()
         if announced:
@@ -440,6 +433,13 @@ def verify_outcome(inst: Instance, out: Outcome) -> list:
         if abs(out.completion - max_service) > EPS:
             issues.append("open completion is not the last service time")
     return issues
+
+
+def check_completion(completion: float, opt: float) -> None:
+    """Raise when ``completion`` is below the offline optimum ``opt``, which no
+    feasible run can beat."""
+    if completion < opt - EPS:
+        raise SimulationError(f"completion {completion!r} is below the offline optimum {opt!r}")
 
 
 def outcome_to_text(out: Outcome, space: MetricSpace) -> str:

@@ -15,13 +15,15 @@ from .metric import (
     Ring,
     SemiLine,
     Star,
-    validate_space,
 )
 
 OPEN = "open"
 CLOSED = "closed"
 LOCATIONS_KNOWN = "locations"
 COUNT_KNOWN = "count"
+
+# Largest request count the generator, the exact oracle and wait-all accept.
+MAX_REQUESTS = 18
 
 
 class FormatError(ValueError):
@@ -60,7 +62,7 @@ class GenParams:
 
 def validate_instance(inst: Instance) -> list:
     """Empty list when the instance (and its space) is well formed."""
-    issues = list(validate_space(inst.space))
+    issues = list(inst.space.validate())
     if inst.variant not in (OPEN, CLOSED):
         issues.append(f"unknown variant {inst.variant!r}")
     if inst.knowledge not in (LOCATIONS_KNOWN, COUNT_KNOWN):
@@ -218,8 +220,8 @@ def generate_random(params: GenParams, kind: str, variant: str = CLOSED,
     """Deterministic instance for (seed, params); positions uniform in the domain."""
     if params.n < 0:
         raise ValueError("n must be >= 0")
-    if params.n > 18:
-        raise ValueError(f"n={params.n} exceeds the n<=18 generation cap")
+    if params.n > MAX_REQUESTS:
+        raise ValueError(f"n={params.n} exceeds the n<={MAX_REQUESTS} generation cap")
     if params.release_horizon < 0:
         raise ValueError("release horizon must be >= 0")
     rng = random.Random(params.seed)

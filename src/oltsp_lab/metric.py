@@ -81,6 +81,7 @@ class MetricSpace:
         raise NotImplementedError
 
     def validate(self) -> list:
+        """Empty list when the space's structural invariants hold."""
         return []
 
     # Shared helpers -------------------------------------------------------
@@ -461,9 +462,14 @@ def _concat_plans(first: MovePlan, second: MovePlan) -> MovePlan:
     return MovePlan(legs, hits)
 
 
-def validate_space(space: MetricSpace) -> list:
-    """Empty list when the space's structural invariants hold."""
-    return space.validate()
+def distance_table(space: MetricSpace, points: Sequence[Point]):
+    """Distances from the origin to each point, from each point back to the
+    origin, and between every ordered pair of points, as nested lists."""
+    o = space.origin()
+    d0 = [space.distance(o, p) for p in points]
+    dret = [space.distance(p, o) for p in points]
+    dmat = [[space.distance(a, b) for b in points] for a in points]
+    return d0, dret, dmat
 
 
 SPACE_KINDS = ("semiline", "line", "ring", "star", "general")

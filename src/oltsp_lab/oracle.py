@@ -21,9 +21,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .instance import CLOSED, Instance
+from .instance import CLOSED, MAX_REQUESTS, Instance
+from .metric import distance_table
 
-DP_CAP = 18
+DP_CAP = MAX_REQUESTS
 BRUTE_CAP = 10
 
 
@@ -35,14 +36,8 @@ class OptResult:
 
 
 def _geometry(inst: Instance):
-    space = inst.space
-    pts = [r.point for r in inst.requests]
-    o = space.origin()
-    d0 = [space.distance(o, p) for p in pts]
-    dret = [space.distance(p, o) for p in pts]
-    dmat = [[space.distance(a, b) for b in pts] for a in pts]
-    rel = [r.release for r in inst.requests]
-    return d0, dret, dmat, rel
+    d0, dret, dmat = distance_table(inst.space, [r.point for r in inst.requests])
+    return d0, dret, dmat, [r.release for r in inst.requests]
 
 
 def _fold(order, d0, dret, dmat, rel, closed: bool):

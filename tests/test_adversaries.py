@@ -57,10 +57,9 @@ def test_ring_closed_count_seed_spacing():
     # n = 6*ceil(1/eps)+1 exceeds the oracle cap below eps=0.5, so check the
     # construction itself without an optimum.
     from oltsp_lab.adversaries import materialize
-    from oltsp_lab.engine import AdversaryScenario
 
     adv = make_adversary("ring-closed-count", 0.25)
-    out = simulate(AdversaryScenario(adv), make_policy("greedy"))
+    out = simulate(adv, make_policy("greedy"))
     inst = materialize(adv, out)
     assert inst.n == 25
     zero_released = sorted(q.point for q in inst.requests if q.release == 0.0)
@@ -146,7 +145,7 @@ def test_forced_ratio_is_quotient():
 
 
 def test_engine_rejects_backdated_emission():
-    from oltsp_lab.engine import Adversary, AdversaryScenario, Emission
+    from oltsp_lab.engine import Adversary, Emission
     from oltsp_lab.instance import COUNT_KNOWN, OPEN
     from oltsp_lab.metric import SemiLine
 
@@ -170,11 +169,11 @@ def test_engine_rejects_backdated_emission():
             return [Emission(0.25, point=0.5)]
 
     with pytest.raises(SimulationError, match="causality"):
-        simulate(AdversaryScenario(Backdater()), make_policy("greedy"))
+        simulate(Backdater(), make_policy("greedy"))
 
 
 def test_engine_rejects_over_budget_emission():
-    from oltsp_lab.engine import Adversary, AdversaryScenario, Emission
+    from oltsp_lab.engine import Adversary, Emission
     from oltsp_lab.instance import COUNT_KNOWN, OPEN
     from oltsp_lab.metric import SemiLine
 
@@ -198,7 +197,7 @@ def test_engine_rejects_over_budget_emission():
             return [Emission(0.5, point=0.1), Emission(0.5, point=0.2)]
 
     with pytest.raises(SimulationError, match="more requests"):
-        simulate(AdversaryScenario(Overfiller()), make_policy("greedy"))
+        simulate(Overfiller(), make_policy("greedy"))
 
 
 def test_materialized_instances_are_valid_everywhere():

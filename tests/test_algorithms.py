@@ -18,7 +18,6 @@ from oltsp_lab.algorithms import (
     Alg3Star,
     alpha,
     make_policy,
-    tour_length,
     tour_stats,
 )
 from oltsp_lab.engine import SimulationError
@@ -35,9 +34,9 @@ def ratio_ok(completion, opt, bound, slack=1e-9):
 def test_tour_lengths_reference(example1):
     pts = {r.id: r.point for r in example1.requests}
     space = example1.space
-    assert tour_length(space, CLOSED, pts, [1, 2, 3]) == 12
-    assert tour_length(space, CLOSED, pts, [2, 1, 3]) == 9
-    assert tour_length(space, OPEN, pts, [1, 2, 3]) == 9
+    assert tour_stats(space, CLOSED, pts, [1, 2, 3]).length == 12
+    assert tour_stats(space, CLOSED, pts, [2, 1, 3]).length == 9
+    assert tour_stats(space, OPEN, pts, [1, 2, 3]).length == 9
 
 
 def test_alpha_reference(example1):

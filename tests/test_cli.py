@@ -1,8 +1,9 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from oltsp_lab import decode, encode
+from oltsp_lab import cli, decode, encode
 from oltsp_lab.cli import BatchRow, report, run_cli
 
 
@@ -100,6 +101,30 @@ def test_adversary_epsilon_suffix(capsys):
     code = run_cli(["adversary", "--name", "semiline-open-count", "--policy", "greedy"])
     assert code == 0
     assert "ratio 2" in capsys.readouterr().out
+
+
+def test_adversary_past_oracle_cap_reports_no_optimum(capsys):
+    code = run_cli(["adversary", "--name", "ring-closed-count:0.25", "--policy", "greedy"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.startswith("forced ")
+    assert "opt unavailable (n=25 > oracle cap 18)" in out
+
+
+def test_batch_completion_below_optimum_is_an_error(monkeypatch, capsys):
+    real = cli.opt_makespan
+
+    def inflated(inst):
+        res = real(inst)
+        return replace(res, makespan=res.makespan + 1.0)
+
+    monkeypatch.setattr(cli, "opt_makespan", inflated)
+    code = run_cli([
+        "batch", "--kind", "semiline", "--variant", "closed",
+        "--policy", "alg5-semiline", "--count", "3", "--seed", "7", "--n", "4",
+    ])
+    assert code == 1
+    assert "below the offline optimum" in capsys.readouterr().err
 
 
 def test_incompatible_pairing_is_usage_error(capsys):

@@ -4,19 +4,21 @@ from conftest import make_instance
 from oltsp_lab import (
     CLOSED,
     OPEN,
+    GenParams,
     Instance,
     MoveTo,
     Outcome,
     SimulationError,
     Trajectory,
     WaitUntil,
-    position_at,
+    generate_random,
     simulate,
     verify_outcome,
 )
 from oltsp_lab.algorithms import Alg1General, Greedy, make_policy
 from oltsp_lab.engine import Finish, Policy, Waypoint
-from oltsp_lab.metric import Line, Ring, SemiLine
+from oltsp_lab.cli import run_cli
+from oltsp_lab.metric import SPACE_KINDS, Line, Ring, SemiLine
 
 
 def test_reference_run_alg1(example1):
@@ -50,16 +52,16 @@ def test_position_at_move_and_wait():
         Waypoint(1.0, 1.0, "move"),
         Waypoint(3.0, 1.0, "wait"),
     ))
-    assert position_at(traj, 0.5) == pytest.approx(0.5)
-    assert position_at(traj, 2.2) == pytest.approx(1.0)
+    assert traj.position_at(0.5) == pytest.approx(0.5)
+    assert traj.position_at(2.2) == pytest.approx(1.0)
     with pytest.raises(SimulationError):
-        position_at(traj, 5.0)
+        traj.position_at(5.0)
 
 
 def test_position_at_ring_counterclockwise():
     space = Ring(1.0)
     traj = Trajectory(space, (Waypoint(0.0, 0.0, "start"), Waypoint(0.1, 0.9, "move")))
-    assert position_at(traj, 0.05) == pytest.approx(0.95)
+    assert traj.position_at(0.05) == pytest.approx(0.95)
 
 
 def test_verify_catches_premature_service():
@@ -158,6 +160,35 @@ def test_knowledge_pairing_rejected():
     inst = make_instance(SemiLine(), CLOSED, [(1.0, 0.0)], knowledge="count")
     with pytest.raises(SimulationError, match="locations"):
         simulate(inst, Alg1General())
+
+
+PAIRINGS = {  # policy: (space kind, variant) it is defined on
+    "alg2-ring": ("ring", CLOSED),
+    "alg3-star": ("star", CLOSED),
+    "alg3-star:fptas=0.1": ("star", CLOSED),
+    "alg4-semiline": ("semiline", OPEN),
+    "alg5-semiline": ("semiline", CLOSED),
+}
+MISPAIRINGS = [
+    (name, kind, variant, f"requires a {kind_ok} space")
+    for name, (kind_ok, variant) in PAIRINGS.items()
+    for kind in SPACE_KINDS
+    if kind != kind_ok
+] + [
+    (name, kind_ok, OPEN if variant == CLOSED else CLOSED, f"requires the {variant} variant")
+    for name, (kind_ok, variant) in PAIRINGS.items()
+]
+
+
+@pytest.mark.parametrize("name,kind,variant,requirement", MISPAIRINGS)
+def test_policy_refused_off_its_space_and_variant(name, kind, variant, requirement, capsys):
+    inst = generate_random(GenParams(n=3, seed=5), kind, variant=variant)
+    with pytest.raises(SimulationError, match=requirement):
+        simulate(inst, make_policy(name))
+    code = run_cli(["batch", "--kind", kind, "--variant", variant, "--policy", name,
+                    "--count", "1", "--seed", "5", "--n", "3"])
+    assert code == 2
+    assert requirement in capsys.readouterr().err
 
 
 def test_count_policy_runs_under_count_knowledge():

@@ -12,7 +12,6 @@ from oltsp_lab.metric import (
     Ring,
     SemiLine,
     Star,
-    validate_space,
 )
 
 
@@ -66,22 +65,22 @@ def test_travel_endpoint_laws():
 
 def test_validate_space_triangle_violation():
     bad = General.from_rows([[0, 5, 1], [5, 0, 1], [1, 1, 0]])
-    issues = validate_space(bad)
+    issues = bad.validate()
     assert any("triangle violation (0,2,1)" in v for v in issues)
 
 
 def test_validate_space_ring_ok():
-    assert validate_space(Ring(1.0)) == []
-    assert validate_space(Ring(-1.0)) != []
-    assert validate_space(Star(0)) != []
+    assert Ring(1.0).validate() == []
+    assert Ring(-1.0).validate() != []
+    assert Star(0).validate() != []
 
 
 def test_validate_space_asymmetric_allowed():
     asym = General.from_rows([[0, 2], [3, 0]], symmetric=False)
-    assert validate_space(asym) == []
+    assert asym.validate() == []
     # the same matrix with the symmetric flag set is flagged
     sym = General.from_rows([[0, 2], [3, 0]], symmetric=True)
-    assert any("asymmetry" in v for v in validate_space(sym))
+    assert any("asymmetry" in v for v in sym.validate())
 
 
 def test_point_domain_errors():
