@@ -17,6 +17,7 @@ from .engine import (
     Outcome,
     Policy,
     check_completion,
+    competitive_ratio,
     simulate,
 )
 from .instance import CLOSED, COUNT_KNOWN, LOCATIONS_KNOWN, OPEN, Instance, Request
@@ -40,8 +41,7 @@ def run_adversary(adversary: Adversary, policy: Policy, step_budget: int = 1_000
         return AdversaryRun(inst, out.completion, None, None, out)
     opt = opt_makespan(inst).makespan
     check_completion(out.completion, opt)
-    ratio = out.completion / opt if opt > EPS else math.inf
-    return AdversaryRun(inst, out.completion, opt, ratio, out)
+    return AdversaryRun(inst, out.completion, opt, competitive_ratio(out.completion, opt), out)
 
 
 def materialize(adversary: Adversary, out: Outcome) -> Instance:

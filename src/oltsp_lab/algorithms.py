@@ -339,10 +339,7 @@ class Alg2Ring(Policy):
         if n == 0:
             return
         pos_sorted = [self.points[i + 1] for i in range(n)]
-        ring_pts = sorted([0.0] + pos_sorted)
-        gaps = [b - a for a, b in zip(ring_pts, ring_pts[1:])]
-        gaps.append(self.c - ring_pts[-1] + ring_pts[0])
-        if max(gaps) > self.c / 2 + EPS:
+        if ctx.space.max_gap_with_origin(pos_sorted) > self.c / 2 + EPS:
             self.delegate = Alg1General()
             self.delegate.begin(ctx)
             return
@@ -353,15 +350,12 @@ class Alg2Ring(Policy):
                 self._plan_branch1(pos_sorted[i], pos_sorted[i + 1])
                 break
 
-    def _ring_dist(self, p: float) -> float:
-        p = p % self.c
-        return min(p, self.c - p)
-
     def _plan_branch1(self, p_lo: float, p_hi: float) -> None:
         # Serve the far side of the empty arc first, looping through it, then
         # out-and-back over the near side.  Directions mirror when the lower
         # endpoint is the farther one.
-        if self._ring_dist(p_hi) >= self._ring_dist(p_lo):
+        dist = self.ctx.space.distance
+        if dist(p_hi, 0.0) >= dist(p_lo, 0.0):
             self.legs = [
                 ("go", p_hi, True),
                 ("sweep", 0.0, True),
@@ -486,7 +480,8 @@ class Alg2Ring(Policy):
         unserved = [rid for rid in self.points if rid not in obs.served]
         if not unserved:
             return None
-        target_rid = max(unserved, key=lambda r: (self._ring_dist(self.points[r]), -r))
+        dist = self.ctx.space.distance
+        target_rid = max(unserved, key=lambda r: (dist(self.points[r], 0.0), -r))
         target = self.points[target_rid]
         self.legs.insert(self.ptr + 1, ("mop_wait", target))
         self.legs.insert(self.ptr + 2, ("sweep", 0.0, not clockwise))

@@ -16,6 +16,7 @@ from . import algorithms as alg_mod
 from .engine import (
     SimulationError,
     check_completion,
+    competitive_ratio,
     outcome_to_text,
     pairing_error,
     simulate,
@@ -119,7 +120,7 @@ def _cmd_simulate(args) -> int:
         opt = opt_makespan(inst).makespan
         check_completion(out.completion, opt)
         if opt > EPS:
-            line += f", opt {_num(opt)}, ratio {_num(out.completion / opt)}"
+            line += f", opt {_num(opt)}, ratio {_num(competitive_ratio(out.completion, opt))}"
         else:
             line += f", opt {_num(opt)}"
     print(line)
@@ -195,7 +196,7 @@ def _cmd_batch(args) -> int:
             return BOUND_ERROR
         opt = opt_makespan(inst).makespan
         check_completion(out.completion, opt)
-        ratio = out.completion / opt if opt > EPS else (1.0 if out.completion <= EPS else float("inf"))
+        ratio = competitive_ratio(out.completion, opt)
         rows.append(BatchRow(seed, args.policy, out.completion, opt, ratio))
     params = {
         "kind": args.kind, "variant": args.variant, "policy": args.policy,

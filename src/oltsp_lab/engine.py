@@ -442,6 +442,14 @@ def check_completion(completion: float, opt: float) -> None:
         raise SimulationError(f"completion {completion!r} is below the offline optimum {opt!r}")
 
 
+def competitive_ratio(completion: float, opt: float) -> float:
+    """``completion / opt``; a zero optimum gives 1.0 for a zero completion and
+    infinity otherwise."""
+    if opt > EPS:
+        return completion / opt
+    return 1.0 if completion <= EPS else float("inf")
+
+
 def outcome_to_text(out: Outcome, space: MetricSpace) -> str:
     """Structured-text export: completion, services, waypoint triplets."""
     from .instance import _num, _point_text  # same numeric conventions

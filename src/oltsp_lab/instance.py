@@ -243,7 +243,7 @@ def generate_random(params: GenParams, kind: str, variant: str = CLOSED,
             pts = sorted(rng.uniform(0.0, c) for _ in range(n))
             if not sp.get("non_line_like"):
                 break
-            if n >= 2 and _max_gap_with_origin(pts, c) <= c / 2:
+            if n >= 2 and space.max_gap_with_origin(pts) <= c / 2:
                 break
     elif kind == "star":
         k = int(sp.get("ray_count", 5))
@@ -263,13 +263,6 @@ def generate_random(params: GenParams, kind: str, variant: str = CLOSED,
         Request(id=i + 1, point=pts[i], release=releases[i]) for i in range(n)
     )
     return Instance(space=space, variant=variant, requests=requests, knowledge=knowledge)
-
-
-def _max_gap_with_origin(pts, c: float) -> float:
-    ring_pts = sorted([0.0] + [p % c for p in pts])
-    gaps = [b - a for a, b in zip(ring_pts, ring_pts[1:])]
-    gaps.append(c - ring_pts[-1] + ring_pts[0])
-    return max(gaps)
 
 
 def _random_general(rng: random.Random, n: int, asymmetric: bool):

@@ -38,31 +38,44 @@ class EdgePoint:
 
 
 class MovePlan:
-    """A concrete shortest path: total length, interpolation and pass-over hits.
+    """A concrete shortest path as a sequence of straight legs.
 
-    ``legs`` is a list of ``(length, locator)`` pairs where ``locator(f)``
-    returns the point after traveling ``f`` (0 <= f <= length) along the leg.
-    ``hit_offsets`` maps candidate points to their first offset on the path.
+    Each leg is ``(x_from, x_to, to_point, coord)`` on a one-dimensional chart:
+    the server moves at unit speed from chart coordinate ``x_from`` to ``x_to``,
+    ``to_point(x)`` is the point at coordinate ``x`` and ``coord(p)`` is the
+    coordinate of point ``p`` on the chart, or None when ``p`` is off it.
     """
 
-    def __init__(self, legs, hits):
+    def __init__(self, legs):
         self.legs = legs
-        self._hits = hits
-        self.total = sum(length for length, _ in legs)
+        self.total = sum(abs(x_to - x_from) for x_from, x_to, _, _ in legs)
 
     def point_at(self, offset: float) -> Point:
         if offset < -EPS or offset > self.total + EPS:
             raise MetricError(f"offset {offset} outside [0, {self.total}]")
         f = min(max(offset, 0.0), self.total)
-        for length, locator in self.legs:
+        for x_from, x_to, to_point, _ in self.legs:
+            length = abs(x_to - x_from)
             if f <= length + EPS:
-                return locator(min(f, length))
+                break
             f -= length
-        return self.legs[-1][1](self.legs[-1][0])
+        sign = 1.0 if x_to >= x_from else -1.0
+        return to_point(x_from + sign * min(f, length))
 
     def hit(self, point: Point) -> Optional[float]:
         """Smallest offset at which the path passes ``point``, if it does."""
-        return self._hits(point)
+        base = 0.0
+        for x_from, x_to, _, coord in self.legs:
+            x = coord(point)
+            if x is not None:
+                if x_to >= x_from:
+                    off, length = x - x_from, x_to - x_from
+                else:
+                    off, length = x_from - x, x_from - x_to
+                if -EPS <= off <= length + EPS:
+                    return base + min(max(off, 0.0), length)
+            base += abs(x_to - x_from)
+        return None
 
 
 class MetricSpace:
@@ -90,37 +103,19 @@ class MetricSpace:
         """Position after moving ``elapsed`` along a shortest path a -> b."""
         self._check_point(a)
         self._check_point(b)
-        plan = self.plan_move(a, b)
-        if elapsed < -EPS or elapsed > plan.total + EPS:
-            raise MetricError(
-                f"elapsed {elapsed} outside [0, {plan.total}] for travel on {self.kind}"
-            )
-        return plan.point_at(elapsed)
-
-    def points_equal(self, a: Point, b: Point) -> bool:
-        return self.distance(a, b) <= EPS
+        return self.plan_move(a, b).point_at(elapsed)
 
     def _check_point(self, p: Point) -> None:
         if not self.contains(p):
             raise MetricError(f"point {p!r} outside {self.kind} domain")
 
 
-def _linear_plan(a: float, b: float):
-    length = abs(b - a)
-    sign = 1.0 if b >= a else -1.0
+def _line_point(x: float) -> float:
+    return x
 
-    def locator(f: float) -> float:
-        return a + sign * f
 
-    def hits(p: Point) -> Optional[float]:
-        if not isinstance(p, (int, float)):
-            return None
-        off = (p - a) * sign
-        if -EPS <= off <= length + EPS:
-            return min(max(off, 0.0), length)
-        return None
-
-    return MovePlan([(length, locator)], hits)
+def _line_coord(p: Point) -> Optional[float]:
+    return p if isinstance(p, (int, float)) else None
 
 
 @dataclass(frozen=True)
@@ -139,7 +134,7 @@ class SemiLine(MetricSpace):
         return abs(a - b)
 
     def plan_move(self, a: float, b: float) -> MovePlan:
-        return _linear_plan(a, b)
+        return MovePlan([(a, b, _line_point, _line_coord)])
 
 
 @dataclass(frozen=True)
@@ -158,7 +153,7 @@ class Line(MetricSpace):
         return abs(a - b)
 
     def plan_move(self, a: float, b: float) -> MovePlan:
-        return _linear_plan(a, b)
+        return MovePlan([(a, b, _line_point, _line_coord)])
 
 
 @dataclass(frozen=True)
@@ -193,20 +188,24 @@ class Ring(MetricSpace):
         else:
             direction, length = -1.0, c - cw
 
-        def locator(f: float) -> float:
-            return (a0 + direction * f) % c
+        def to_point(x: float) -> float:
+            return (a0 + direction * x) % c
 
-        def hits(p: Point) -> Optional[float]:
+        def coord(p: Point) -> Optional[float]:
             if not isinstance(p, (int, float)):
                 return None
-            off = ((self.norm(p) - a0) * direction) % c
-            if off <= length + EPS:
-                return min(off, length)
-            if off >= c - EPS:  # numerically wrapped zero
-                return 0.0
-            return None
+            x = ((p % c - a0) * direction) % c
+            return 0.0 if x >= c - EPS else x  # numerically wrapped zero
 
-        return MovePlan([(length, locator)], hits)
+        return MovePlan([(0.0, length, to_point, coord)])
+
+    def max_gap_with_origin(self, points) -> float:
+        """Longest arc between neighbouring points of the origin plus ``points``."""
+        c = self.circumference
+        ring_pts = sorted([0.0] + [self.norm(p) for p in points])
+        gaps = [b - a for a, b in zip(ring_pts, ring_pts[1:])]
+        gaps.append(c - ring_pts[-1] + ring_pts[0])
+        return max(gaps)
 
     def validate(self) -> list:
         if self.circumference <= 0:
@@ -239,53 +238,32 @@ class Star(MetricSpace):
         self._check_point(a)
         self._check_point(b)
         (ra, da), (rb, db) = a, b
-        if ra == rb or da <= EPS or db <= EPS:
-            return abs(da - db) if ra == rb else da + db
-        return da + db
+        return abs(da - db) if ra == rb else da + db
 
     def plan_move(self, a, b) -> MovePlan:
         (ra, da), (rb, db) = a, b
         if ra == rb:
-            return self._ray_leg_plan(ra, da, db, 0.0)
+            return MovePlan([self._ray_leg(ra, da, db)])
         if da <= EPS:  # starting at the hub
-            return self._ray_leg_plan(rb, 0.0, db, 0.0)
+            return MovePlan([self._ray_leg(rb, 0.0, db)])
         if db <= EPS:  # ending at the hub
-            return self._ray_leg_plan(ra, da, 0.0, 0.0)
+            return MovePlan([self._ray_leg(ra, da, 0.0)])
+        return MovePlan([self._ray_leg(ra, da, 0.0), self._ray_leg(rb, 0.0, db)])
 
-        inward = self._ray_leg_plan(ra, da, 0.0, 0.0)
-        outward = self._ray_leg_plan(rb, 0.0, db, da)
-        legs = inward.legs + outward.legs
+    @staticmethod
+    def _ray_leg(ray: int, d_from: float, d_to: float) -> tuple:
+        """Leg charted by depth on ``ray``; the hub lies on every ray."""
 
-        def hits(p: Point) -> Optional[float]:
-            h1 = inward.hit(p)
-            if h1 is not None:
-                return h1
-            h2 = outward.hit(p)
-            if h2 is not None:
-                return da + h2
-            return None
+        def to_point(x: float):
+            return (ray, x)
 
-        return MovePlan(legs, hits)
-
-    def _ray_leg_plan(self, ray: int, d_from: float, d_to: float, base: float) -> MovePlan:
-        length = abs(d_to - d_from)
-        sign = 1.0 if d_to >= d_from else -1.0
-
-        def locator(f: float):
-            return (ray, d_from + sign * f)
-
-        def hits(p: Point) -> Optional[float]:
+        def coord(p: Point) -> Optional[float]:
             if not (isinstance(p, tuple) and len(p) == 2):
                 return None
             pr, pd = p
-            if pr != ray and pd > EPS:
-                return None
-            off = (pd - d_from) * sign
-            if -EPS <= off <= length + EPS:
-                return min(max(off, 0.0), length)
-            return None
+            return pd if pr == ray or pd <= EPS else None
 
-        return MovePlan([(length, locator)], hits)
+        return (d_from, d_to, to_point, coord)
 
     def validate(self) -> list:
         if self.ray_count < 1:
@@ -351,76 +329,44 @@ class General(MetricSpace):
 
     def plan_move(self, a: Point, b: Point) -> MovePlan:
         if isinstance(a, int) and isinstance(b, int):
-            return self._edge_plan(a, b)
+            return MovePlan([self._edge_leg(a, b, 0.0, self.matrix[a][b])])
         if isinstance(a, EdgePoint):
+            if isinstance(b, EdgePoint) and (a.a, a.b) == (b.a, b.b):
+                return MovePlan([self._edge_leg(a.a, a.b, a.traveled, b.traveled)])
             edge_len = self.matrix[a.a][a.b]
             back = a.traveled + self.distance(a.a, b)
             ahead = (edge_len - a.traveled) + self.distance(a.b, b)
             if ahead <= back:
-                first = self._edge_part_plan(a.a, a.b, a.traveled, edge_len)
-                rest = self.plan_move(a.b, b)
+                first, node = self._edge_leg(a.a, a.b, a.traveled, edge_len), a.b
             else:
-                first = self._edge_part_plan(a.a, a.b, a.traveled, 0.0)
-                rest = self.plan_move(a.a, b)
-            return _concat_plans(first, rest)
+                first, node = self._edge_leg(a.a, a.b, a.traveled, 0.0), a.a
+            return MovePlan([first] + self.plan_move(node, b).legs)
         if isinstance(a, int) and isinstance(b, EdgePoint):
-            first = self._edge_plan(a, b.a)
-            rest = self._edge_part_plan(b.a, b.b, 0.0, b.traveled)
-            return _concat_plans(first, rest)
+            return MovePlan([
+                self._edge_leg(a, b.a, 0.0, self.matrix[a][b.a]),
+                self._edge_leg(b.a, b.b, 0.0, b.traveled),
+            ])
         raise MetricError(f"unsupported move {a!r} -> {b!r}")
 
-    def _edge_plan(self, a: int, b: int) -> MovePlan:
-        length = self.matrix[a][b]
-
-        def locator(f: float) -> Point:
-            if f <= EPS:
-                return a
-            if f >= length - EPS:
-                return b
-            return EdgePoint(a, b, f)
-
-        def hits(p: Point) -> Optional[float]:
-            if isinstance(p, int):
-                if p == a:
-                    return 0.0
-                if p == b:
-                    return length
-                return None
-            if isinstance(p, EdgePoint) and (p.a, p.b) == (a, b):
-                if -EPS <= p.traveled <= length + EPS:
-                    return min(max(p.traveled, 0.0), length)
-            return None
-
-        return MovePlan([(length, locator)], hits)
-
-    def _edge_part_plan(self, a: int, b: int, t_from: float, t_to: float) -> MovePlan:
-        length = abs(t_to - t_from)
-        sign = 1.0 if t_to >= t_from else -1.0
+    def _edge_leg(self, a: int, b: int, t_from: float, t_to: float) -> tuple:
+        """Leg charted by the distance travelled along the edge a -> b."""
         edge_len = self.matrix[a][b]
 
-        def locator(f: float) -> Point:
-            t = t_from + sign * f
+        def to_point(t: float) -> Point:
             if t <= EPS:
                 return a
             if t >= edge_len - EPS:
                 return b
             return EdgePoint(a, b, t)
 
-        def hits(p: Point) -> Optional[float]:
+        def coord(p: Point) -> Optional[float]:
             if isinstance(p, int):
-                t = 0.0 if p == a else edge_len if p == b else None
-                if t is None:
-                    return None
-            elif isinstance(p, EdgePoint) and (p.a, p.b) == (a, b):
-                t = p.traveled
-            else:
-                return None
-            off = (t - t_from) * sign
-            if -EPS <= off <= length + EPS:
-                return min(max(off, 0.0), length)
+                return 0.0 if p == a else edge_len if p == b else None
+            if isinstance(p, EdgePoint):
+                return p.traveled if (p.a, p.b) == (a, b) else None
             return None
 
-        return MovePlan([(length, locator)], hits)
+        return (t_from, t_to, to_point, coord)
 
     def validate(self) -> list:
         issues = []
@@ -444,22 +390,6 @@ class General(MetricSpace):
                     if self.matrix[i][j] > self.matrix[i][k] + self.matrix[k][j] + EPS:
                         issues.append(f"triangle violation ({i},{k},{j})")
         return issues
-
-
-def _concat_plans(first: MovePlan, second: MovePlan) -> MovePlan:
-    legs = first.legs + second.legs
-    base = first.total
-
-    def hits(p: Point) -> Optional[float]:
-        h = first.hit(p)
-        if h is not None:
-            return h
-        h = second.hit(p)
-        if h is not None:
-            return base + h
-        return None
-
-    return MovePlan(legs, hits)
 
 
 def distance_table(space: MetricSpace, points: Sequence[Point]):

@@ -18,7 +18,7 @@ from oltsp_lab import (
 from oltsp_lab.algorithms import Alg1General, Greedy, make_policy
 from oltsp_lab.engine import Finish, Policy, Waypoint
 from oltsp_lab.cli import run_cli
-from oltsp_lab.metric import SPACE_KINDS, Line, Ring, SemiLine
+from oltsp_lab.metric import SPACE_KINDS, EdgePoint, General, Line, Ring, SemiLine
 
 
 def test_reference_run_alg1(example1):
@@ -56,6 +56,16 @@ def test_position_at_move_and_wait():
     assert traj.position_at(2.2) == pytest.approx(1.0)
     with pytest.raises(SimulationError):
         traj.position_at(5.0)
+
+
+def test_position_at_general_same_edge():
+    space = General.from_rows([[0, 1], [1, 0]])
+    traj = Trajectory(space, (
+        Waypoint(0.0, 0, "start"),
+        Waypoint(0.3, EdgePoint(0, 1, 0.3), "move"),
+        Waypoint(0.6, EdgePoint(0, 1, 0.6), "move"),
+    ))
+    assert traj.position_at(0.45) == EdgePoint(0, 1, pytest.approx(0.45))
 
 
 def test_position_at_ring_counterclockwise():

@@ -2,9 +2,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oltsp_lab.metric import (
     EPS,
+    SPACE_KINDS,
     EdgePoint,
     General,
     Line,
@@ -120,9 +123,15 @@ def test_path_consistency_general_edges():
     assert g.distance(mid, 2) == pytest.approx(3.0)  # ahead 3 vs back 1 + 4
     assert g.distance(mid, 0) == pytest.approx(3.0)  # back 1+2 vs ahead 3+3
     assert g.distance(1, mid) == pytest.approx(1.0)
-    for e1, e2 in [(0.0, 1.0), (0.5, 3.0), (1.0, 4.0)]:
-        p1, p2 = g.travel(1, 2, e1), g.travel(1, 2, e2)
-        assert g.distance(p1, p2) == pytest.approx(e2 - e1)
+    for a, b, spans in [
+        (1, 2, [(0.0, 1.0), (0.5, 3.0), (1.0, 4.0)]),
+        # two points on one edge, as left when two events interrupt one move
+        (EdgePoint(1, 2, 0.5), EdgePoint(1, 2, 3.0), [(0.0, 1.0), (0.5, 2.0), (1.0, 2.5)]),
+        (EdgePoint(1, 2, 3.0), EdgePoint(1, 2, 0.5), [(0.0, 1.0), (0.5, 2.0), (1.0, 2.5)]),
+    ]:
+        for e1, e2 in spans:
+            p1, p2 = g.travel(a, b, e1), g.travel(a, b, e2)
+            assert g.distance(p1, p2) == pytest.approx(e2 - e1)
 
 
 def test_ring_distance_at_most_half_circumference():
@@ -141,3 +150,63 @@ def test_general_symmetric_distance_symmetrical():
     for i in range(5):
         for j in range(5):
             assert g.distance(i, j) == g.distance(j, i)
+
+
+def _coords(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _moves(draw):
+    """A space of a random kind and two in-domain points of it."""
+    kind = draw(st.sampled_from(SPACE_KINDS))
+    if kind == "semiline":
+        space, point = SemiLine(), _coords(0.0, 10.0)
+    elif kind == "line":
+        space, point = Line(), _coords(-10.0, 10.0)
+    elif kind == "ring":
+        c = draw(_coords(0.1, 10.0))
+        space, point = Ring(c), _coords(-c, 2 * c)
+    elif kind == "star":
+        k = draw(st.integers(1, 5))
+        space = Star(k)
+        point = st.tuples(st.integers(0, k - 1), st.just(0.0) | _coords(0.0, 10.0))
+    else:
+        n = draw(st.integers(2, 5))
+        if draw(st.booleans()):  # Euclidean
+            xy = draw(st.lists(st.tuples(_coords(0.0, 1.0), _coords(0.0, 1.0)),
+                               min_size=n, max_size=n))
+            rows = [[math.dist(p, q) for q in xy] for p in xy]
+        else:  # asymmetric: off-diagonal entries in [1, 2] keep the triangle inequality
+            rows = [[0.0 if i == j else draw(_coords(1.0, 2.0)) for j in range(n)]
+                    for i in range(n)]
+        space = General.from_rows(rows, symmetric=False)
+
+        @st.composite
+        def node_or_edge_point(draw):
+            a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            if a == b:
+                return a
+            return EdgePoint(a, b, draw(_coords(0.0, space.matrix[a][b])))
+
+        point = node_or_edge_point()
+    return space, draw(point), draw(point)
+
+
+# A star plan takes a depth within EPS of the hub as the hub itself, which can
+# shift an offset by up to 2 EPS; on the other kinds only rounding separates them.
+PLAN_TOL = 4 * EPS
+
+
+@settings(max_examples=300, deadline=None)
+@given(_moves(), st.floats(0.0, 1.0))
+def test_move_plan_contract(move, frac):
+    space, a, b = move
+    plan = space.plan_move(a, b)
+    assert plan.total == pytest.approx(space.distance(a, b), abs=PLAN_TOL)
+    assert space.distance(a, plan.point_at(0.0)) <= PLAN_TOL
+    assert space.distance(b, plan.point_at(plan.total)) <= PLAN_TOL
+    assert plan.hit(b) == pytest.approx(plan.total, abs=PLAN_TOL)
+    if space.kind != "general":
+        f = frac * plan.total
+        assert plan.hit(plan.point_at(f)) == pytest.approx(f, abs=PLAN_TOL)
