@@ -24,7 +24,6 @@ from .instance import (
 from .engine import (
     Adversary,
     Emission,
-    Finish,
     MoveTo,
     Observation,
     Outcome,

@@ -20,9 +20,9 @@ from .engine import (
     competitive_ratio,
     simulate,
 )
-from .instance import CLOSED, COUNT_KNOWN, LOCATIONS_KNOWN, OPEN, Instance, Request
+from .instance import CLOSED, COUNT_KNOWN, LOCATIONS_KNOWN, MAX_REQUESTS, OPEN, Instance, Request
 from .metric import EPS, Point, Ring, SemiLine, Star
-from .oracle import DP_CAP, opt_makespan
+from .oracle import opt_makespan
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,10 @@ class AdversaryRun:
     outcome: Outcome
 
 
-def run_adversary(adversary: Adversary, policy: Policy, step_budget: int = 1_000_000) -> AdversaryRun:
-    out = simulate(adversary, policy, step_budget=step_budget)
+def run_adversary(adversary: Adversary, policy: Policy) -> AdversaryRun:
+    out = simulate(adversary, policy)
     inst = materialize(adversary, out)
-    if inst.n > DP_CAP:
+    if inst.n > MAX_REQUESTS:
         return AdversaryRun(inst, out.completion, None, None, out)
     opt = opt_makespan(inst).makespan
     check_completion(out.completion, opt)

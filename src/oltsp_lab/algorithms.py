@@ -16,7 +16,6 @@ import numpy as np
 
 from .engine import (
     Action,
-    Finish,
     MoveTo,
     Observation,
     Policy,
@@ -68,15 +67,6 @@ def alpha(stats: TourStats, released_ids) -> float:
 
 
 # Moves shared by the policies ---------------------------------------------------
-
-
-def finish(obs: Observation) -> Action:
-    """End of run: a closed run first returns to the origin."""
-    space = obs.ctx.space
-    o = space.origin()
-    if obs.ctx.variant == CLOSED and space.distance(obs.position, o) > EPS:
-        return MoveTo(o)
-    return Finish()
 
 
 def next_stop(points: Dict[int, Point], obs: Observation,
@@ -249,8 +239,6 @@ class Alg1General(Policy):
         self.perms, self.prefix, self.ell = perms, prefix, ell
 
     def decide(self, obs: Observation) -> Action:
-        if self.ctx.n == 0:
-            return finish(obs)
         if not self.started:
             act = self._waiting_step(obs)
             if act is not None:
@@ -297,8 +285,8 @@ class Alg1General(Policy):
     def _tour_step(self, obs: Observation) -> Action:
         while self.cursor < len(self.order) and self.order[self.cursor] in obs.served:
             self.cursor += 1
-        if self.cursor >= len(self.order):
-            return finish(obs)
+        if self.cursor >= len(self.order):  # all served: a closed run goes home
+            return MoveTo(self.ctx.space.origin())
         rid = self.order[self.cursor]
         target = self.points[rid]
         if self.ctx.space.distance(obs.position, target) <= EPS:
@@ -336,8 +324,6 @@ class Alg2Ring(Policy):
         self.c = ctx.space.circumference
         self.points = {rid: ctx.space.norm(p) for rid, p in (ctx.locations or {}).items()}
         n = ctx.n
-        if n == 0:
-            return
         pos_sorted = [self.points[i + 1] for i in range(n)]
         if ctx.space.max_gap_with_origin(pos_sorted) > self.c / 2 + EPS:
             self.delegate = Alg1General()
@@ -356,21 +342,10 @@ class Alg2Ring(Policy):
         # endpoint is the farther one.
         dist = self.ctx.space.distance
         if dist(p_hi, 0.0) >= dist(p_lo, 0.0):
-            self.legs = [
-                ("go", p_hi, True),
-                ("sweep", 0.0, True),
-                ("skip_if_done",),
-                ("go", p_lo, True),
-                ("sweep", 0.0, False),
-            ]
+            far, near, cw = p_hi, p_lo, True
         else:
-            self.legs = [
-                ("go", p_lo, False),
-                ("sweep", 0.0, False),
-                ("skip_if_done",),
-                ("go", p_hi, False),
-                ("sweep", 0.0, True),
-            ]
+            far, near, cw = p_lo, p_hi, False
+        self.legs = [(far, cw, False), (0.0, cw, True), (near, cw, False), (0.0, not cw, True)]
 
     # movement helpers ----------------------------------------------------
 
@@ -436,64 +411,35 @@ class Alg2Ring(Policy):
     def decide(self, obs: Observation) -> Action:
         if self.delegate is not None:
             return self.delegate.decide(obs)
-        n = self.ctx.n
-        if n == 0:
-            return finish(obs)
         if self.branch == 2 and not self.legs:
-            if len(obs.served) == n:  # everything happened at the origin
-                return finish(obs)
             w = self._find_window(obs)
             if w is None:
                 return WaitForRelease(None)
             self.window = w
             clockwise, target = w
-            self.legs = [("go", target, clockwise), ("sweep", 0.0, clockwise),
-                         ("mop", clockwise)]
+            self.legs = [(target, clockwise, False), (0.0, clockwise, True),
+                         (None, clockwise, False), (0.0, not clockwise, True)]
         return self._run_legs(obs)
 
     def _run_legs(self, obs: Observation) -> Action:
-        while True:
-            if self.ptr >= len(self.legs):
-                return finish(obs)
-            leg = self.legs[self.ptr]
-            if leg[0] == "skip_if_done":
-                if all(rid in obs.served for rid in self.points):
-                    return finish(obs)
-                self.ptr += 1
-                continue
-            if leg[0] == "go":
-                act = self._arc_step(obs, leg[1], leg[2])
-            elif leg[0] == "sweep":
-                act = self._sweep_step(obs, leg[1], leg[2])
-            elif leg[0] == "mop":
-                act = self._mop(obs, leg[1])
-            elif leg[0] == "mop_wait":
-                act = self._mop_wait(obs, leg[1])
-            else:
-                raise SimulationError(f"bad leg {leg!r}")
-            if act is None:
-                self.ptr += 1
-                continue
-            return act
-
-    def _mop(self, obs: Observation, clockwise: bool) -> Optional[Action]:
-        unserved = [rid for rid in self.points if rid not in obs.served]
-        if not unserved:
-            return None
-        dist = self.ctx.space.distance
-        target_rid = max(unserved, key=lambda r: (dist(self.points[r], 0.0), -r))
-        target = self.points[target_rid]
-        self.legs.insert(self.ptr + 1, ("mop_wait", target))
-        self.legs.insert(self.ptr + 2, ("sweep", 0.0, not clockwise))
-        act = self._arc_step(obs, target, clockwise)
-        if act is None:
-            return None
-        self.legs[self.ptr] = ("go", target, clockwise)
-        return act
-
-    def _mop_wait(self, obs: Observation, target: float) -> Optional[Action]:
-        stop = next_stop(self.points, obs, lambda p: 0.0 if abs(p - target) <= EPS else None)
-        return None if stop is None else WaitForRelease(stop[1])
+        """Follow the legs ``(target, clockwise, wait)``: travel to ``target``
+        in the leg's direction, as a serve-with-wait sweep when ``wait``.  A
+        None target (the mop) is fixed when the leg starts: the farthest
+        unserved request, ties to the lowest id."""
+        while self.ptr < len(self.legs):
+            target, clockwise, wait = self.legs[self.ptr]
+            if target is None:
+                dist = self.ctx.space.distance
+                rid = max((r for r in self.points if r not in obs.served),
+                          key=lambda r: (dist(self.points[r], 0.0), -r))
+                target = self.points[rid]
+                self.legs[self.ptr] = (target, clockwise, wait)
+            step = self._sweep_step if wait else self._arc_step
+            act = step(obs, target, clockwise)
+            if act is not None:
+                return act
+            self.ptr += 1
+        raise SimulationError("alg2 ran out of legs with requests unserved")
 
 
 # Star policy (closed) -----------------------------------------------------------
@@ -554,9 +500,6 @@ class Alg3Star(Policy):
             if d > EPS:
                 self.ray_len[r] = max(self.ray_len[r], d)
         self.total = sum(self.ray_len)
-        if ctx.n == 0:
-            self.phase = "done"
-            return
         big = max(range(k), key=lambda j: (self.ray_len[j], -j))
         if self.ray_len[big] >= self.total / 4 - 1e-12:
             self.phase = "case1_out"
@@ -567,9 +510,6 @@ class Alg3Star(Policy):
     def decide(self, obs: Observation) -> Action:
         space = self.ctx.space
         o = space.origin()
-        if len(obs.served) == self.ctx.n:
-            return finish(obs)
-
         if self.phase == "case1_out":
             tip = (self.big_ray, self.ray_len[self.big_ray])
             if self.ray_len[self.big_ray] > EPS and space.distance(obs.position, tip) > EPS:
@@ -688,8 +628,6 @@ class Alg4Semiline(Policy):
         return min(vals) if vals else math.inf
 
     def decide(self, obs: Observation) -> Action:
-        if self.ctx.n == 0 or len(obs.served) == self.ctx.n:
-            return finish(obs)
         limit = self.limit
         pos = obs.position
         x = self._lowest_unreleased(obs)
@@ -759,7 +697,7 @@ class Alg4Semiline(Policy):
         ]
         if ahead:
             return MoveTo(max(ahead) if rightward else min(ahead))
-        return finish(obs) if len(obs.served) == self.ctx.n else WaitForRelease(None)
+        return WaitForRelease(None)
 
 
 class Alg5Semiline(Policy):
@@ -781,8 +719,6 @@ class Alg5Semiline(Policy):
 
     def decide(self, obs: Observation) -> Action:
         pos = obs.position
-        if self.ctx.n == 0 or len(obs.served) == self.ctx.n:
-            return finish(obs)
         if not self.reached_tip:
             if pos < self.limit - EPS:
                 return MoveTo(self.limit)
@@ -793,9 +729,7 @@ class Alg5Semiline(Policy):
                 return WaitForRelease(stop[1])
             return MoveTo(self.points[stop[1]])
         lows = [p for rid, p in self.points.items() if rid not in obs.served and p <= pos + EPS]
-        if lows:
-            return MoveTo(min(lows))
-        return WaitForRelease(None)
+        return MoveTo(min(lows, default=self.ctx.space.origin()))
 
 
 # Baselines ------------------------------------------------------------------------
@@ -820,8 +754,6 @@ class WaitAll(Policy):
     def decide(self, obs: Observation) -> Action:
         from .oracle import opt_makespan
 
-        if len(obs.served) == self.ctx.n:
-            return finish(obs)
         if len(obs.released) < self.ctx.n:
             return WaitForRelease(None)
         if self.order is None:
@@ -840,7 +772,7 @@ class WaitAll(Policy):
             self.cursor += 1
         if self.cursor < len(self.order):
             return MoveTo(obs.released[self.order[self.cursor]].point)
-        return finish(obs)
+        return MoveTo(self.ctx.space.origin())  # all served: a closed run goes home
 
 
 class Greedy(Policy):
@@ -857,8 +789,6 @@ class Greedy(Policy):
         o = space.origin()
         candidates = [rid for rid in obs.released if rid not in obs.served]
         if not candidates:
-            if len(obs.served) == self.ctx.n:
-                return finish(obs)
             if space.distance(obs.position, o) > EPS:
                 return MoveTo(o)
             return WaitForRelease(None)

@@ -28,6 +28,7 @@ from .instance import (
     GenParams,
     Instance,
     LOCATIONS_KNOWN,
+    MAX_REQUESTS,
     OPEN,
     decode,
     encode,
@@ -35,7 +36,7 @@ from .instance import (
     validate_instance,
 )
 from .metric import EPS, SPACE_KINDS
-from .oracle import DP_CAP, opt_makespan
+from .oracle import opt_makespan
 
 USAGE_ERROR = 2
 BOUND_ERROR = 1
@@ -116,7 +117,7 @@ def _cmd_simulate(args) -> int:
         print("infeasible outcome: " + "; ".join(bad), file=sys.stderr)
         return BOUND_ERROR
     line = f"completion {_num(out.completion)}"
-    if inst.n <= DP_CAP:
+    if inst.n <= MAX_REQUESTS:
         opt = opt_makespan(inst).makespan
         check_completion(out.completion, opt)
         if opt > EPS:
@@ -229,7 +230,7 @@ def _cmd_adversary(args) -> int:
         return USAGE_ERROR
     run = adv_mod.run_adversary(adversary, policy)
     if run.opt_completion is None:
-        opt = f"opt unavailable (n={run.materialized.n} > oracle cap {DP_CAP})"
+        opt = f"opt unavailable (n={run.materialized.n} > oracle cap {MAX_REQUESTS})"
     else:
         opt = f"opt {_num(run.opt_completion)}, ratio {_num(run.forced_ratio)}"
     print(f"forced {_num(run.forced_completion)}, {opt}")

@@ -6,6 +6,11 @@ fresh action from its current state, so actions are interruptible by design.
 A request is served automatically and instantaneously whenever the server's
 position coincides with a released, unserved request (within ``EPS``); passing
 over a released request mid-move therefore serves it at the exact pass time.
+
+The engine alone ends a run: once every request is served and the run is open
+or the server is back at the origin, the run completes at that instant and the
+policy is not asked again (at n = 0 it is never asked).  Policies only route;
+a closed policy brings the server home itself, by whatever way it chooses.
 """
 from __future__ import annotations
 
@@ -40,12 +45,7 @@ class WaitForRelease:
     request_id: Optional[int] = None  # None: wake at the next release, whoever it is
 
 
-@dataclass(frozen=True)
-class Finish:
-    pass
-
-
-Action = Union[MoveTo, WaitUntil, WaitForRelease, Finish]
+Action = Union[MoveTo, WaitUntil, WaitForRelease]
 
 
 # Observations and contracts ---------------------------------------------------
@@ -220,15 +220,14 @@ def simulate(scenario: Scenario, policy: Policy, step_budget: int = 1_000_000) -
     ctx = PolicyContext(space, variant, n_total, knowledge, locations)
 
     now = 0.0
-    pos = space.origin()
     origin = space.origin()
+    pos = origin
     released: Dict[int, float] = {}
     served: Dict[int, float] = {}
     waypoints: List[Waypoint] = [Waypoint(0.0, pos, "start")]
     adv_wake: Optional[float] = adversary.next_wake(0.0) if adversary else None
 
     def ingest(emissions: List[Emission]) -> None:
-        nonlocal adv_wake
         for em in emissions:
             if em.release < now - EPS:
                 raise SimulationError(
@@ -278,7 +277,6 @@ def simulate(scenario: Scenario, policy: Policy, step_budget: int = 1_000_000) -
 
     policy.begin(ctx)
     steps = 0
-    completion: Optional[float] = None
     while True:
         steps += 1
         if steps > step_budget:
@@ -288,25 +286,18 @@ def simulate(scenario: Scenario, policy: Policy, step_budget: int = 1_000_000) -
             raise SimulationError(
                 f"step budget {step_budget} exceeded (policy {policy.name!r}); tail: {tail}"
             )
-        process_due()
         auto_serve()
         if adversary is not None and adv_wake is not None and adv_wake <= now + EPS:
             ingest(adversary.observe(now, pos, frozenset(served)))
             adv_wake = adversary.next_wake(now)
             auto_serve()
+        if len(served) == n_total and (
+            variant != CLOSED or space.distance(pos, origin) <= EPS
+        ):
+            break
 
         obs = Observation(now, pos, visible(), frozenset(served), ctx)
         action = policy.decide(obs)
-
-        if isinstance(action, Finish):
-            if len(served) != n_total:
-                raise SimulationError(
-                    f"policy finished with {len(served)}/{n_total} requests served"
-                )
-            if variant == CLOSED and space.distance(pos, origin) > EPS:
-                raise SimulationError("closed run finished away from the origin")
-            completion = now
-            break
 
         next_times: List[float] = []
         plan = None
@@ -369,7 +360,7 @@ def simulate(scenario: Scenario, policy: Policy, step_budget: int = 1_000_000) -
             f"adversary defined {len(realized)} of {n_total} announced requests"
         )
     return Outcome(
-        completion=completion,
+        completion=now,
         services=dict(served),
         trajectory=Trajectory(space, tuple(waypoints)),
         realized=realized,

@@ -239,11 +239,12 @@ def generate_random(params: GenParams, kind: str, variant: str = CLOSED,
     elif kind == "ring":
         c = float(sp.get("circumference", 1.0))
         space = Ring(c)
+        if sp.get("non_line_like") and n < 2:
+            # One point p leaves a gap max(p, c - p) >= c/2 with the origin.
+            raise ValueError(f"a non-line-like ring instance needs n >= 2, got n={n}")
         while True:
             pts = sorted(rng.uniform(0.0, c) for _ in range(n))
-            if not sp.get("non_line_like"):
-                break
-            if n >= 2 and space.max_gap_with_origin(pts) <= c / 2:
+            if not sp.get("non_line_like") or space.max_gap_with_origin(pts) <= c / 2:
                 break
     elif kind == "star":
         k = int(sp.get("ray_count", 5))

@@ -24,7 +24,6 @@ import numpy as np
 from .instance import CLOSED, MAX_REQUESTS, Instance
 from .metric import distance_table
 
-DP_CAP = MAX_REQUESTS
 BRUTE_CAP = 10
 
 
@@ -59,8 +58,8 @@ def opt_makespan(inst: Instance) -> OptResult:
     n = inst.n
     if n == 0:
         return OptResult(0.0, (), ())
-    if n > DP_CAP:
-        raise ValueError(f"oracle cap exceeded: n={n} > {DP_CAP}")
+    if n > MAX_REQUESTS:
+        raise ValueError(f"oracle cap exceeded: n={n} > {MAX_REQUESTS}")
     d0, dret, dmat, rel = _geometry(inst)
     closed = inst.variant == CLOSED
     if n <= 3:

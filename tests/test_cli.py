@@ -152,6 +152,13 @@ def test_usage_error_exit_code(capsys):
     assert run_cli(["batch", "--kind", "nowhere", "--variant", "closed",
                     "--policy", "greedy", "--count", "1", "--seed", "1"]) == 2
     capsys.readouterr()
+    # no non-line-like ring instance has fewer than two requests
+    assert run_cli(["gen", "--kind", "ring", "--non-line-like", "--n", "1", "--seed", "0"]) == 2
+    capsys.readouterr()
+    assert run_cli(["batch", "--kind", "ring", "--non-line-like", "--n", "0",
+                    "--variant", "closed", "--policy", "greedy", "--count", "1",
+                    "--seed", "0"]) == 2
+    capsys.readouterr()
 
 
 def test_report_empty_rows():

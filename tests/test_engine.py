@@ -10,15 +10,16 @@ from oltsp_lab import (
     Outcome,
     SimulationError,
     Trajectory,
+    WaitForRelease,
     WaitUntil,
     generate_random,
     simulate,
     verify_outcome,
 )
 from oltsp_lab.algorithms import Alg1General, Greedy, make_policy
-from oltsp_lab.engine import Finish, Policy, Waypoint
+from oltsp_lab.engine import Policy, Waypoint
 from oltsp_lab.cli import run_cli
-from oltsp_lab.metric import SPACE_KINDS, EdgePoint, General, Line, Ring, SemiLine
+from oltsp_lab.metric import EPS, SPACE_KINDS, EdgePoint, General, Line, Ring, SemiLine
 
 
 def test_reference_run_alg1(example1):
@@ -153,17 +154,89 @@ def test_invalid_move_target_rejected():
         simulate(inst, _Escapist())
 
 
-class _Quitter(Policy):
-    name = "quitter"
+class _Loiterer(Policy):
+    """Goes to the request at 1 and stays there."""
+
+    name = "loiterer"
 
     def decide(self, obs):
-        return Finish()
+        return MoveTo(1.0) if obs.position < 1.0 - EPS else WaitForRelease(None)
 
 
-def test_premature_finish_rejected():
-    inst = make_instance(SemiLine(), OPEN, [(1.0, 0.0)])
-    with pytest.raises(SimulationError, match="served"):
-        simulate(inst, _Quitter())
+@pytest.mark.parametrize("variant,pts_rel", [
+    (OPEN, [(1.0, 0.0), (0.5, 3.0)]),  # one request is never served
+    (CLOSED, [(1.0, 0.0)]),  # served, but the server never comes home
+])
+def test_run_does_not_end_early(variant, pts_rel):
+    inst = make_instance(SemiLine(), variant, pts_rel)
+    with pytest.raises(SimulationError, match="stalled"):
+        simulate(inst, _Loiterer())
+
+
+class _Refuser(Policy):
+    name = "refuser"
+
+    def decide(self, obs):
+        raise AssertionError(f"decide asked at t={obs.now}")
+
+
+@pytest.mark.parametrize("variant", [OPEN, CLOSED])
+def test_engine_ends_empty_run_without_asking_the_policy(variant):
+    inst = Instance(space=SemiLine(), variant=variant, requests=())
+    out = simulate(inst, _Refuser())
+    assert out.completion == 0.0
+    assert verify_outcome(inst, out) == []
+
+
+def _watch_decide(policy):
+    """Fail when ``decide`` sees a run that is already over: every request
+    served, and the run open or the server at the origin."""
+    decide = policy.decide
+
+    def watched(obs):
+        space = obs.ctx.space
+        home = space.distance(obs.position, space.origin()) <= EPS
+        assert not (len(obs.served) == obs.ctx.n and (obs.ctx.variant == OPEN or home)), (
+            f"decide asked at t={obs.now} after the run was over"
+        )
+        return decide(obs)
+
+    policy.decide = watched
+    return policy
+
+
+OWN_GROUND = [  # every policy on a space kind and variant it is defined on
+    ("alg1", "general", CLOSED, {}),
+    ("alg1", "line", OPEN, {}),
+    ("alg2-ring", "ring", CLOSED, {}),
+    ("alg2-ring", "ring", CLOSED, {"non_line_like": True}),
+    ("alg3-star", "star", CLOSED, {"ray_count": 4}),
+    ("alg3-star", "star", CLOSED, {"ray_count": 16}),
+    ("alg4-semiline", "semiline", OPEN, {}),
+    ("alg5-semiline", "semiline", CLOSED, {}),
+    ("wait-all", "star", CLOSED, {}),
+    ("wait-all", "general", OPEN, {}),
+    ("greedy", "ring", CLOSED, {}),
+    ("greedy", "line", OPEN, {}),
+]
+
+
+@pytest.mark.parametrize("name,kind,variant,sp", OWN_GROUND, ids=[
+    "-".join([name, kind, variant, *(f"{k}={v}" for k, v in sp.items())])
+    for name, kind, variant, sp in OWN_GROUND
+])
+def test_policy_never_asked_after_the_run_is_over(name, kind, variant, sp):
+    for n in (0, 1, 3, 5):
+        if sp.get("non_line_like") and n < 2:
+            continue
+        for horizon in (0.0, 1.0, 3.0):
+            for seed in range(8):
+                inst = generate_random(
+                    GenParams(n=n, seed=seed, release_horizon=horizon, space_params=sp),
+                    kind, variant=variant,
+                )
+                out = simulate(inst, _watch_decide(make_policy(name)))
+                assert verify_outcome(inst, out) == []
 
 
 def test_knowledge_pairing_rejected():

@@ -138,6 +138,15 @@ def test_generator_non_line_like_filter():
         assert max(gaps) <= 0.5 + 1e-12
 
 
+def test_generator_non_line_like_ring_needs_two_requests():
+    # One point p leaves a gap max(p, c - p) >= c/2 with the origin.
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="n >= 2"):
+            generate_random(
+                GenParams(n=n, seed=0, space_params={"non_line_like": True}), "ring"
+            )
+
+
 def test_generator_caps():
     with pytest.raises(ValueError):
         generate_random(GenParams(n=19, seed=1), "semiline")
