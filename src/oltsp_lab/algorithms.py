@@ -7,7 +7,6 @@ travel a chosen direction even where the shortest path would go the other way.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -26,6 +25,7 @@ from .engine import (
 )
 from .instance import CLOSED, MAX_REQUESTS, OPEN, Instance, Request
 from .metric import EPS, Point, distance_table
+from .oracle import lex_orders
 
 ALG1_CAP = 9
 EXACT_KNAPSACK_CAP = 20
@@ -172,21 +172,6 @@ def _knapsack_fptas(items, capacity, eps) -> KnapsackResult:
 
 # alg1: order enumeration for any metric, both variants --------------------------
 
-_PERMS: Dict[int, tuple] = {}
-
-
-def _perm_tables(n: int) -> tuple:
-    """Permutation matrix plus cached gather indices and request bitmasks."""
-    if n not in _PERMS:
-        perms = np.array(
-            list(itertools.permutations(range(n))), dtype=np.intp
-        ).reshape(-1, n)
-        leg_idx = perms[:, :-1] * n + perms[:, 1:] if n > 1 else None
-        bits = np.left_shift(np.int64(1), perms.astype(np.int64))
-        _PERMS[n] = (perms, leg_idx, bits)
-    return _PERMS[n]
-
-
 class Alg1General(Policy):
     """Wait at the origin until the start threshold, then commit to the order
     minimizing (1 - beta) * length and follow it, waiting at unreleased stops.
@@ -195,7 +180,10 @@ class Alg1General(Policy):
     t >= length/2 and a fully released prefix covering half its length.  The
     prefix condition for an order flips exactly when the last request it needs
     (those reached before the halfway point) is released, so the threshold is
-    min over orders of max(length/2, latest needed release), evaluated online.
+    min over orders of max(length/2, latest needed release).  Orders with the
+    same needed set share that release, so it is evaluated online per needed
+    set S as min over released S of max(least length/2 given S, latest
+    release in S): at most 2^n entries instead of n!.
     """
 
     name = "alg1"
@@ -218,23 +206,30 @@ class Alg1General(Policy):
         pts = [self.points[i + 1] for i in range(n)]
         d0, dret, dmat = (np.array(t) for t in distance_table(ctx.space, pts))
 
-        perms, leg_idx, bits = _perm_tables(n)
-        m = len(perms)
-        prefix = np.empty((m, n))
-        prefix[:, 0] = d0[perms[:, 0]]
-        if n > 1:
-            np.cumsum(dmat.ravel()[leg_idx], axis=1, out=prefix[:, 1:])
-            prefix[:, 1:] += prefix[:, 0][:, None]
-        ell = prefix[:, -1].copy()
+        # Per order (a column of the table): the distance on reaching each stop.
+        # The legs between stops are summed in sequence and the leg from the
+        # origin is added last; this order of additions fixes the floats.
+        perms = lex_orders(n)
+        prefix = np.empty(perms.shape)
+        prefix[0] = d0[perms[0]]
+        legs = np.zeros(perms.shape[1])
+        for k in range(1, n):
+            legs += dmat.ravel()[perms[k - 1] * n + perms[k]]
+            np.add(legs, prefix[0], out=prefix[k])
+        ell = prefix[-1].copy()
         if ctx.variant == CLOSED:
-            ell += dret[perms[:, -1]]
-        # Per order: which requests sit before the halfway point (as a bitmask)
-        # and the latest release seen among them so far.
-        self.needed_mask = np.where(prefix < (ell / 2)[:, None], bits, 0).sum(
-            axis=1, dtype=np.int64
-        )
-        self.tau = np.zeros(m)
-        self.half = ell / 2.0
+            ell += dret[perms[-1]]
+        half = ell / 2
+        # Per order: the requests it reaches before its halfway point, as a bitmask.
+        needed = np.zeros(perms.shape[1], dtype=np.int64)
+        for k in range(n):
+            needed |= (prefix[k] < half) << perms[k]
+        # Per needed set: the least half length among the orders that need it.
+        min_half = np.full(1 << n, np.inf)
+        np.minimum.at(min_half, needed, half)
+        self.need_sets = np.flatnonzero(min_half < np.inf)
+        self.min_half = min_half[self.need_sets]
+        self.tau = np.zeros(len(self.need_sets))  # latest release folded in, per set
         self.known = 0  # bitmask of releases already folded into tau
         self.perms, self.prefix, self.ell = perms, prefix, ell
 
@@ -251,13 +246,13 @@ class Alg1General(Policy):
             bit = 1 << (rid - 1)
             released_bits |= bit
             if not self.known & bit:
-                sel = (self.needed_mask & bit) != 0
+                sel = (self.need_sets & bit) != 0
                 self.tau[sel] = np.maximum(self.tau[sel], req.release)
         self.known = released_bits
-        ok = (self.needed_mask & ~released_bits) == 0
+        ok = (self.need_sets & ~released_bits) == 0
         if not ok.any():
             return WaitForRelease(None)
-        cand = np.maximum(self.half, self.tau)[ok]
+        cand = np.maximum(self.min_half, self.tau)[ok]
         best = float(cand.min())
         if best > obs.now + EPS:
             return WaitUntil(best)
@@ -266,18 +261,17 @@ class Alg1General(Policy):
 
     def _commit(self, obs: Observation, released_bits: int) -> None:
         n = self.ctx.n
-        rel_mask = np.array([(released_bits >> i) & 1 for i in range(n)], dtype=bool)
-        fr = rel_mask[self.perms]
-        all_rel = fr.all(axis=1)
-        first_k = np.argmin(fr, axis=1)
-        rows = np.arange(len(self.perms))
-        num = np.where(all_rel, self.ell, self.prefix[rows, first_k])
+        unreleased = np.array([not released_bits & (1 << i) for i in range(n)])
+        # The distance into each order's first unreleased stop, or its length.
+        num = self.ell.copy()
+        for k in reversed(range(n)):
+            np.copyto(num, self.prefix[k], where=unreleased[self.perms[k]])
         with np.errstate(invalid="ignore", divide="ignore"):
             a = np.where(self.ell > 0, num / self.ell, 1.0)
         beta = np.minimum(a, 0.5)
         objective = (1.0 - beta) * self.ell
         i1 = int(np.argmin(objective))  # ties: lexicographically first order
-        self.order = [int(r) + 1 for r in self.perms[i1]]
+        self.order = [int(r) + 1 for r in self.perms[:, i1]]
         self.chosen_t = obs.now
         self.chosen_objective = float(objective[i1])
         self.started = True

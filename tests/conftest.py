@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import strategies as st
 
-from oltsp_lab import CLOSED, Instance, Request
+from oltsp_lab import CLOSED, OPEN, GenParams, Instance, Request, generate_random
 from oltsp_lab.metric import General
 
 
@@ -28,3 +29,33 @@ def example1() -> Instance:
         variant=CLOSED,
         requests=(Request(1, 1, 2.0), Request(2, 2, 6.0), Request(3, 3, 8.0)),
     )
+
+
+@st.composite
+def tie_heavy_instances(draw, kinds, max_n):
+    """A generated instance of one of ``kinds`` (``(kind, space_params)``
+    pairs), often with ties: requests moved onto earlier requests' points or
+    all onto the origin, and releases zero or snapped to a coarse grid."""
+    kind, space_params = draw(st.sampled_from(kinds))
+    n = draw(st.integers(1, max_n))
+    variant = draw(st.sampled_from((OPEN, CLOSED)))
+    inst = generate_random(
+        GenParams(n=n, seed=draw(st.integers(0, 2**32)),
+                  release_horizon=draw(st.sampled_from((0.0, 0.5, 2.0))),
+                  space_params=space_params),
+        kind, variant=variant,
+    )
+    origin = inst.space.origin()
+    points = [r.point for r in inst.requests]
+    placement = draw(st.sampled_from(("generated", "shared", "origin")))
+    if placement == "shared":  # each request keeps its point, or takes an earlier one's or the origin
+        for j in range(n):
+            src = draw(st.integers(-1, j))
+            points[j] = origin if src < 0 else points[src]
+    elif placement == "origin":  # a zero-length tour
+        points = [origin] * n
+    releases = [r.release for r in inst.requests]
+    if draw(st.booleans()):
+        releases = [0.5 * round(r / 0.5) for r in releases]
+    # sorted: semi-line and ring instances list requests in position order
+    return make_instance(inst.space, variant, list(zip(sorted(points), releases)))

@@ -1,6 +1,10 @@
-import pytest
+import itertools
 
-from conftest import make_instance
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+from conftest import make_instance, tie_heavy_instances
 from oltsp_lab import (
     CLOSED,
     OPEN,
@@ -20,8 +24,8 @@ from oltsp_lab.algorithms import (
     make_policy,
     tour_stats,
 )
-from oltsp_lab.engine import SimulationError
-from oltsp_lab.metric import General, Ring, SemiLine, Star
+from oltsp_lab.engine import SimulationError, WaitForRelease, WaitUntil
+from oltsp_lab.metric import EPS, General, Ring, SemiLine, Star, distance_table
 
 
 def ratio_ok(completion, opt, bound, slack=1e-9):
@@ -146,6 +150,89 @@ def test_alg1_ratio_small_sweep(kind, sp, variant):
         opt = opt_makespan(inst).makespan
         assert ratio_ok(out.completion, opt, 1.5), (kind, seed)
         assert out.completion >= opt - 1e-9
+
+
+class PerOrderAlg1(Alg1General):
+    """Reference alg1: the start threshold is taken over all n! orders, each
+    with its own needed-request mask and latest needed release, and the commit
+    works on whole (order, position) matrices."""
+
+    def begin(self, ctx):
+        n = ctx.n
+        self.ctx = ctx
+        self.points = dict(ctx.locations or {})
+        if n == 0:
+            return
+        pts = [self.points[i + 1] for i in range(n)]
+        d0, dret, dmat = (np.array(t) for t in distance_table(ctx.space, pts))
+        perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+        m = len(perms)
+        prefix = np.empty((m, n))
+        prefix[:, 0] = d0[perms[:, 0]]
+        if n > 1:
+            leg_idx = perms[:, :-1] * n + perms[:, 1:]
+            np.cumsum(dmat.ravel()[leg_idx], axis=1, out=prefix[:, 1:])
+            prefix[:, 1:] += prefix[:, 0][:, None]
+        ell = prefix[:, -1].copy()
+        if ctx.variant == CLOSED:
+            ell += dret[perms[:, -1]]
+        bits = np.left_shift(np.int64(1), perms.astype(np.int64))
+        self.needed_mask = np.where(prefix < (ell / 2)[:, None], bits, 0).sum(
+            axis=1, dtype=np.int64
+        )
+        self.tau = np.zeros(m)
+        self.half = ell / 2.0
+        self.known = 0
+        self.perms, self.prefix, self.ell = perms, prefix, ell
+
+    def _waiting_step(self, obs):
+        released_bits = 0
+        for rid, req in obs.released.items():
+            bit = 1 << (rid - 1)
+            released_bits |= bit
+            if not self.known & bit:
+                sel = (self.needed_mask & bit) != 0
+                self.tau[sel] = np.maximum(self.tau[sel], req.release)
+        self.known = released_bits
+        ok = (self.needed_mask & ~released_bits) == 0
+        if not ok.any():
+            return WaitForRelease(None)
+        best = float(np.maximum(self.half, self.tau)[ok].min())
+        if best > obs.now + EPS:
+            return WaitUntil(best)
+        self._commit(obs, released_bits)
+        return None
+
+    def _commit(self, obs, released_bits):
+        n = self.ctx.n
+        rel_mask = np.array([(released_bits >> i) & 1 for i in range(n)], dtype=bool)
+        fr = rel_mask[self.perms]
+        rows = np.arange(len(self.perms))
+        num = np.where(fr.all(axis=1), self.ell, self.prefix[rows, np.argmin(fr, axis=1)])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            a = np.where(self.ell > 0, num / self.ell, 1.0)
+        objective = (1.0 - np.minimum(a, 0.5)) * self.ell
+        i1 = int(np.argmin(objective))
+        self.order = [int(r) + 1 for r in self.perms[i1]]
+        self.chosen_t = obs.now
+        self.chosen_objective = float(objective[i1])
+        self.started = True
+
+
+def _alg1_choice(pol):
+    return pol.chosen_t, pol.order, getattr(pol, "chosen_objective", None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_heavy_instances(
+    [("general", {}), ("general", {"asymmetric": True}), ("line", {}), ("star", {"ray_count": 3})],
+    max_n=7,
+))
+def test_alg1_threshold_per_needed_set_matches_per_order(inst):
+    ref, pol = PerOrderAlg1(), Alg1General()
+    ref_out, out = simulate(inst, ref), simulate(inst, pol)
+    assert _alg1_choice(pol) == _alg1_choice(ref)
+    assert out.completion == ref_out.completion
 
 
 # Algorithm 2 (ring) ----------------------------------------------------------------

@@ -1,6 +1,10 @@
-import pytest
+import itertools
+import tracemalloc
 
-from conftest import make_instance
+import pytest
+from hypothesis import given, settings
+
+from conftest import make_instance, tie_heavy_instances
 from oltsp_lab import (
     CLOSED,
     OPEN,
@@ -10,8 +14,10 @@ from oltsp_lab import (
     generate_random,
     opt_bruteforce,
     opt_makespan,
+    oracle,
 )
 from oltsp_lab.metric import General, Ring, SemiLine
+from oltsp_lab.oracle import BRUTE_CAP, OptResult, lex_orders
 
 KINDS = [
     ("semiline", {}),
@@ -160,3 +166,56 @@ def test_reconstructed_times_obey_the_fold():
             prev = req.point
         t += space.distance(prev, space.origin())
         assert t == pytest.approx(res.makespan, abs=1e-12)
+
+
+def _scalar_enumeration(inst):
+    """Reference brute force: every order folded on its own by the scalar fold,
+    in lexicographic order, a strict ``<`` keeping the first minimum."""
+    d0, dret, dmat, rel = oracle._geometry(inst)
+    best = None
+    for perm in itertools.permutations(range(inst.n)):
+        t, times = oracle._fold(perm, d0, dret, dmat, rel, inst.variant == CLOSED)
+        if best is None or t < best[0]:
+            best = (t, perm, times)
+    t, perm, times = best
+    return OptResult(t, tuple(i + 1 for i in perm), tuple(times))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_instances(KINDS, max_n=6))
+def test_bruteforce_equals_scalar_enumeration(inst):
+    ref = _scalar_enumeration(inst)
+    assert opt_bruteforce(inst) == ref  # makespan, order and times, exactly
+    if inst.n <= 3:  # opt_makespan hands these to the same enumeration
+        assert opt_makespan(inst) == ref
+
+
+def test_order_table_is_lexicographic():
+    for n in range(8):
+        table = lex_orders(n)
+        assert table.T.tolist() == [list(p) for p in itertools.permutations(range(n))]
+        assert not table.flags.writeable
+
+
+@pytest.mark.parametrize("kind,sp", KINDS)
+def test_bruteforce_equals_dp_at_nine_and_ten(kind, sp):
+    for n, seeds in ((9, range(3)), (BRUTE_CAP, range(2))):
+        for seed in seeds:
+            inst = generate_random(
+                GenParams(n=n, seed=7500 + seed, release_horizon=1.5, space_params=sp),
+                kind,
+                variant=CLOSED if seed % 2 else OPEN,
+            )
+            assert opt_bruteforce(inst).makespan == opt_makespan(inst).makespan, (kind, n, seed)
+
+
+def test_bruteforce_memory_bounded_at_cap():
+    inst = generate_random(GenParams(n=BRUTE_CAP, seed=11, release_horizon=1.0), "general")
+    lex_orders.cache_clear()  # count the order table it builds as well
+    tracemalloc.start()
+    try:
+        opt_bruteforce(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
