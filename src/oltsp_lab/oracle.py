@@ -10,11 +10,14 @@ trajectory induces the service order of its serve events, and its completion
 is bounded below by that order's fold (the fold only ever waits at request
 positions, which is enough: shifting any other waiting later along the same
 order never hurts).  Minimizing the fold over all orders is therefore exact,
-which the subset dynamic program below does in O(2^n * n^2); a factorial
-brute force over the same fold serves as an independent cross-check.  It
-folds every order at once, one position at a time, over a cached table of
-all orders in lexicographic order (at n = 10 in blocks of 9! orders, one per
-leading request), and shares no code with the dynamic program.
+which the subset dynamic program below does in O(2^n * n^2) on an (n, 2^n)
+table ``dp[last, mask]``, one gather, min and scatter per ``CHUNK`` cells of
+a popcount layer.  It keeps no parent table: the order is rebuilt from the
+full mask backwards, each step taking the first minimum of the same float
+row.  A factorial brute force over the same fold serves as an independent
+cross-check.  It folds every order at once, one position at a time, over a
+cached table of all orders in lexicographic order (at n = 10 in blocks of 9!
+orders, one per leading request), and shares no code with the dynamic program.
 """
 from __future__ import annotations
 
@@ -30,6 +33,9 @@ BRUTE_CAP = 10
 # The brute force folds the whole order table up to this n; at n = 10 the table
 # alone would take 290 MB, so it goes one leading request at a time.
 WHOLE_TABLE_N = 9
+# Cells per DP step: its two (n, CHUNK) float64 blocks, 576 KiB at n = 18, stay
+# in a 1-2 MiB L2 cache.  That is the hardware's property, not the instance's.
+CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -70,40 +76,27 @@ def opt_makespan(inst: Instance) -> OptResult:
     if n <= 3:
         return _best_by_enumeration(inst, d0, dret, dmat, rel, closed)
 
+    dist, relv = np.asarray(dmat), np.asarray(rel)
     full = (1 << n) - 1
-    dist = np.asarray(dmat)
-    relv = np.asarray(rel)
-    dp = np.full((full + 1, n), np.inf)
-    parent = np.full((full + 1, n), -1, dtype=np.int8)
-    for j in range(n):
-        dp[1 << j, j] = max(d0[j], rel[j])
+    dp = np.full((n, full + 1), np.inf)  # dp[last, mask], flat cell last << n | mask
+    dp[range(n), 1 << np.arange(n)] = np.maximum(d0, rel)
+    for cell in _cell_chunks(n):
+        cell = cell.astype(np.intp)
+        last = cell >> n
+        cand = np.take(dp, (cell & full) ^ (1 << last), axis=1)
+        cand += np.take(dist, last, axis=1)
+        best = cand.min(axis=0)
+        # min_i max(a_i, r) == max(min_i a_i, r) exactly: clamp once, after the min.
+        np.put(dp, cell, np.maximum(best, relv[last], out=best))
 
-    for layer in _masks_by_popcount(n):
-        if layer.ndim == 0 or len(layer) == 0:
-            continue
-        for j in range(n):
-            bit = 1 << j
-            sel = layer[(layer & bit) != 0]
-            if len(sel) == 0:
-                continue
-            prev = sel ^ bit
-            cand = np.maximum(dp[prev] + dist[:, j], relv[j])
-            best = np.argmin(cand, axis=1)
-            rows = np.arange(len(sel))
-            dp[sel, j] = cand[rows, best]
-            parent[sel, j] = best
-
-    finals = dp[full] + (np.asarray(dret) if closed else 0.0)
-    last = int(np.argmin(finals))
-    makespan = float(finals[last])
-
-    order = []
-    mask, j = full, last
-    while j >= 0:
+    finals = dp[:, full] + (np.asarray(dret) if closed else 0.0)
+    j = int(np.argmin(finals))
+    makespan = float(finals[j])
+    order, mask = [j], full ^ (1 << j)
+    while mask:
+        j = int(np.argmin(np.maximum(dp[:, mask] + dist[:, j], relv[j])))
         order.append(j)
-        pj = int(parent[mask, j])
         mask ^= 1 << j
-        j = pj if mask else -1
     order.reverse()
     _, times = _fold(order, d0, dret, dmat, rel, closed)
     return OptResult(makespan, tuple(i + 1 for i in order), tuple(times))
@@ -147,13 +140,19 @@ def opt_bruteforce(inst: Instance) -> OptResult:
 
 
 @lru_cache(maxsize=None)
-def _masks_by_popcount(n: int):
-    """All masks over n bits with popcount >= 2, grouped and ordered by popcount."""
-    masks = np.arange(1 << n, dtype=np.int64)
-    pops = np.zeros(1 << n, dtype=np.int8)
-    for j in range(n):
-        pops += ((masks >> j) & 1).astype(np.int8)
-    return tuple(masks[pops == k] for k in range(2, n + 1))
+def _cell_chunks(n: int):
+    """The DP's cells ``last << n | mask`` with popcount(mask) >= 2, layer by
+    layer in popcount order, each layer grouped by ``last`` and cut into
+    read-only int32 chunks of at most ``CHUNK`` cells."""
+    masks = np.arange(1 << n, dtype=np.int32)
+    pops = sum((masks >> j) & 1 for j in range(n))
+    chunks = []
+    for k in range(2, n + 1):
+        layer = masks[pops == k]
+        cells = np.concatenate([layer[(layer >> j) & 1 == 1] | (j << n) for j in range(n)])
+        cells.flags.writeable = False
+        chunks += np.split(cells, range(CHUNK, len(cells), CHUNK))
+    return tuple(chunks)
 
 
 def _order_blocks(n: int):

@@ -32,12 +32,13 @@ def example1() -> Instance:
 
 
 @st.composite
-def tie_heavy_instances(draw, kinds, max_n):
+def tie_heavy_instances(draw, kinds, max_n, min_n=1):
     """A generated instance of one of ``kinds`` (``(kind, space_params)``
-    pairs), often with ties: requests moved onto earlier requests' points or
-    all onto the origin, and releases zero or snapped to a coarse grid."""
+    pairs) with ``min_n`` to ``max_n`` requests, often with ties: requests
+    moved onto earlier requests' points or all onto the origin, and releases
+    zero or snapped to a coarse grid."""
     kind, space_params = draw(st.sampled_from(kinds))
-    n = draw(st.integers(1, max_n))
+    n = draw(st.integers(min_n, max_n))
     variant = draw(st.sampled_from((OPEN, CLOSED)))
     inst = generate_random(
         GenParams(n=n, seed=draw(st.integers(0, 2**32)),

@@ -1,6 +1,7 @@
 import itertools
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -8,6 +9,7 @@ from conftest import make_instance, tie_heavy_instances
 from oltsp_lab import (
     CLOSED,
     OPEN,
+    MAX_REQUESTS,
     GenParams,
     Instance,
     Request,
@@ -219,3 +221,70 @@ def test_bruteforce_memory_bounded_at_cap():
     finally:
         tracemalloc.stop()
     assert peak < 100 * 2**20
+
+
+def _reference_dp(inst):
+    """Reference subset DP for n >= 2: one argmin per (popcount layer, last
+    request) over a (2^n, n) table, with an int8 parent table for the order."""
+    n = inst.n
+    d0, dret, dmat, rel = oracle._geometry(inst)
+    closed = inst.variant == CLOSED
+    full = (1 << n) - 1
+    dist, relv = np.asarray(dmat), np.asarray(rel)
+    masks = np.arange(1 << n)
+    pops = sum((masks >> j) & 1 for j in range(n))
+    dp = np.full((full + 1, n), np.inf)
+    parent = np.full((full + 1, n), -1, dtype=np.int8)
+    for j in range(n):
+        dp[1 << j, j] = max(d0[j], rel[j])
+    for k in range(2, n + 1):
+        layer = masks[pops == k]
+        for j in range(n):
+            sel = layer[(layer >> j) & 1 == 1]
+            cand = np.maximum(dp[sel ^ (1 << j)] + dist[:, j], relv[j])
+            best = np.argmin(cand, axis=1)
+            dp[sel, j] = cand[np.arange(len(sel)), best]
+            parent[sel, j] = best
+    finals = dp[full] + (np.asarray(dret) if closed else 0.0)
+    last = int(np.argmin(finals))
+    order, mask, j = [], full, last
+    while j >= 0:
+        order.append(j)
+        pj = int(parent[mask, j])
+        mask ^= 1 << j
+        j = pj if mask else -1
+    order.reverse()
+    _, times = oracle._fold(order, d0, dret, dmat, rel, closed)
+    return OptResult(float(finals[last]), tuple(i + 1 for i in order), tuple(times))
+
+
+# n <= 3 goes to the brute force's enumeration, whose tie-break differs.
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_instances(KINDS, max_n=10, min_n=4))
+def test_dp_equals_reference_dp(inst):
+    assert opt_makespan(inst) == _reference_dp(inst)  # makespan, order and times, exactly
+
+
+@pytest.mark.parametrize("kind,sp", KINDS)
+def test_dp_equals_reference_dp_at_eleven_to_fourteen(kind, sp):
+    for n in range(11, 15):
+        for horizon in (0.0, 1.5):  # zero releases tie the most
+            for variant in (OPEN, CLOSED):
+                inst = generate_random(
+                    GenParams(n=n, seed=7700 + n, release_horizon=horizon, space_params=sp),
+                    kind,
+                    variant=variant,
+                )
+                assert opt_makespan(inst) == _reference_dp(inst), (kind, n, horizon, variant)
+
+
+def test_dp_memory_bounded_at_cap():
+    inst = generate_random(GenParams(n=MAX_REQUESTS, seed=11, release_horizon=1.0), "general")
+    oracle._cell_chunks.cache_clear()  # count the cell schedule it builds as well
+    tracemalloc.start()
+    try:
+        opt_makespan(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
