@@ -1,9 +1,12 @@
 """Online policies with known request locations, plus two baselines.
 
-All policies are single-use state machines driven by the engine: ``decide``
-is called after every event and answers "what to do from here".  Movement on
-a ring is decomposed into sub-half-circumference hops so that a policy can
-travel a chosen direction even where the shortest path would go the other way.
+All policies are single-use and driven by the engine: ``decide`` is called
+after every event and answers "what to do from here".  Each of the paper's
+policies is a short route of moves, waits and serve-with-wait sweeps, held as
+a list of data steps that one runner (:class:`Route`) works through in turn.
+Movement on a ring is decomposed into sub-half-circumference hops so that a
+policy can travel a chosen direction even where the shortest path would go
+the other way.
 """
 from __future__ import annotations
 
@@ -70,11 +73,14 @@ def alpha(stats: TourStats, released_ids) -> float:
 
 
 def next_stop(points: Dict[int, Point], obs: Observation,
-              offset: Callable[[Point], Optional[float]]) -> Optional[Tuple[float, int]]:
-    """Next stop of a serve-with-wait sweep: ``(offset, id)`` of the unreleased,
-    unserved request with the smallest ``offset(point) >= -EPS``, ties to the
-    lowest id, or None.  ``offset`` is the distance left to travel along the
-    sweep to a point, or None for a point off the sweep."""
+              offset: Callable[[Point], Optional[float]],
+              move: Callable[[Point], Action]) -> Optional[Action]:
+    """Next action of a serve-with-wait sweep, or None when no stop is left.
+    The stop is the unreleased, unserved request with the smallest
+    ``offset(point) >= -EPS``, ties to the lowest id; ``offset`` is the
+    distance left to travel along the sweep to a point, or None for a point
+    off the sweep.  At the stop the server waits for its release, otherwise it
+    takes ``move(point)``."""
     best = None
     for rid, p in points.items():
         if rid in obs.served or rid in obs.released:
@@ -82,7 +88,52 @@ def next_stop(points: Dict[int, Point], obs: Observation,
         off = offset(p)
         if off is not None and off >= -EPS and (best is None or (off, rid) < best):
             best = (off, rid)
-    return best
+    if best is None:
+        return None
+    return WaitForRelease(best[1]) if best[0] <= EPS else move(points[best[1]])
+
+
+def follow(obs: Observation, space, order: Sequence[int],
+           points: Dict[int, Point]) -> Action:
+    """Serve the stops of ``order`` in turn: go to the first unserved one and
+    wait there while it is unreleased; once every stop is served, go home."""
+    for rid in order:
+        if rid not in obs.served:
+            target = points[rid]
+            if space.distance(obs.position, target) <= EPS:
+                return WaitForRelease(rid)
+            return MoveTo(target)
+    return MoveTo(space.origin())
+
+
+class Route(Policy):
+    """A policy run as a list of steps.  ``steps`` holds plain tuples
+    ``(method name, *args)``; ``decide`` calls the first one with the
+    observation.  A None answer means the step is done: it is dropped and the
+    next step runs in the same call.  A step may insert more steps right
+    after itself.  Steps name their methods instead of holding bound methods or
+    closures, so a policy holds no reference cycle and is freed as soon as
+    the run drops it."""
+
+    steps: List[tuple]
+
+    def decide(self, obs: Observation) -> Action:
+        steps = self.steps
+        while steps:
+            step = steps[0]
+            act = getattr(self, step[0])(obs, *step[1:])
+            if act is not None:
+                return act
+            steps.pop(0)
+        raise SimulationError(f"policy {self.name!r} ran out of steps with requests unserved")
+
+    def go(self, obs: Observation, target: Point) -> Optional[Action]:
+        if self.ctx.space.distance(obs.position, target) > EPS:
+            return MoveTo(target)
+        return None
+
+    def all_released(self, obs: Observation) -> Optional[Action]:
+        return WaitForRelease(None) if len(obs.released) < self.ctx.n else None
 
 
 # Knapsack ---------------------------------------------------------------------
@@ -172,7 +223,7 @@ def _knapsack_fptas(items, capacity, eps) -> KnapsackResult:
 
 # alg1: order enumeration for any metric, both variants --------------------------
 
-class Alg1General(Policy):
+class Alg1General(Route):
     """Wait at the origin until the start threshold, then commit to the order
     minimizing (1 - beta) * length and follow it, waiting at unreleased stops.
 
@@ -190,10 +241,9 @@ class Alg1General(Policy):
     needs_locations = True
 
     def __init__(self):
-        self.started = False
         self.order: List[int] = []
-        self.cursor = 0
         self.chosen_t: Optional[float] = None
+        self.steps = [("_waiting_step",), ("_tour_step",)]
 
     def begin(self, ctx: PolicyContext) -> None:
         n = ctx.n
@@ -207,15 +257,15 @@ class Alg1General(Policy):
         d0, dret, dmat = (np.array(t) for t in distance_table(ctx.space, pts))
 
         # Per order (a column of the table): the distance on reaching each stop.
-        # The legs between stops are summed in sequence and the leg from the
-        # origin is added last; this order of additions fixes the floats.
+        # The distances between stops are summed in sequence and the one from
+        # the origin is added last; this order of additions fixes the floats.
         perms = lex_orders(n)
         prefix = np.empty(perms.shape)
         prefix[0] = d0[perms[0]]
-        legs = np.zeros(perms.shape[1])
+        between = np.zeros(perms.shape[1])
         for k in range(1, n):
-            legs += dmat.ravel()[perms[k - 1] * n + perms[k]]
-            np.add(legs, prefix[0], out=prefix[k])
+            between += dmat.ravel()[perms[k - 1] * n + perms[k]]
+            np.add(between, prefix[0], out=prefix[k])
         ell = prefix[-1].copy()
         if ctx.variant == CLOSED:
             ell += dret[perms[-1]]
@@ -232,13 +282,6 @@ class Alg1General(Policy):
         self.tau = np.zeros(len(self.need_sets))  # latest release folded in, per set
         self.known = 0  # bitmask of releases already folded into tau
         self.perms, self.prefix, self.ell = perms, prefix, ell
-
-    def decide(self, obs: Observation) -> Action:
-        if not self.started:
-            act = self._waiting_step(obs)
-            if act is not None:
-                return act
-        return self._tour_step(obs)
 
     def _waiting_step(self, obs: Observation) -> Optional[Action]:
         released_bits = 0
@@ -274,24 +317,15 @@ class Alg1General(Policy):
         self.order = [int(r) + 1 for r in self.perms[:, i1]]
         self.chosen_t = obs.now
         self.chosen_objective = float(objective[i1])
-        self.started = True
 
     def _tour_step(self, obs: Observation) -> Action:
-        while self.cursor < len(self.order) and self.order[self.cursor] in obs.served:
-            self.cursor += 1
-        if self.cursor >= len(self.order):  # all served: a closed run goes home
-            return MoveTo(self.ctx.space.origin())
-        rid = self.order[self.cursor]
-        target = self.points[rid]
-        if self.ctx.space.distance(obs.position, target) <= EPS:
-            return WaitForRelease(rid)
-        return MoveTo(target)
+        return follow(obs, self.ctx.space, self.order, self.points)
 
 
 # Ring policy (closed) -----------------------------------------------------------
 
 
-class Alg2Ring(Policy):
+class Alg2Ring(Route):
     """Closed ring policy: either exploit a large request-free arc, or wait for
     a third of the ring inside one half to be fully released, loop that way,
     then mop up what was passed unreleased near the origin.
@@ -308,8 +342,6 @@ class Alg2Ring(Policy):
 
     def __init__(self):
         self.delegate: Optional[Alg1General] = None
-        self.legs: List[tuple] = []
-        self.ptr = 0
         self.window: Optional[Tuple[bool, float]] = None
         self.branch: Optional[int] = None
 
@@ -322,8 +354,10 @@ class Alg2Ring(Policy):
         if ctx.space.max_gap_with_origin(pos_sorted) > self.c / 2 + EPS:
             self.delegate = Alg1General()
             self.delegate.begin(ctx)
+            self.steps = [("_delegate_step",)]
             return
         self.branch = 2
+        self.steps = [("_window_step",)]
         for i in range(n - 1):
             if pos_sorted[i + 1] - pos_sorted[i] >= self.c / 3 - EPS:
                 self.branch = 1
@@ -339,9 +373,13 @@ class Alg2Ring(Policy):
             far, near, cw = p_hi, p_lo, True
         else:
             far, near, cw = p_lo, p_hi, False
-        self.legs = [(far, cw, False), (0.0, cw, True), (near, cw, False), (0.0, not cw, True)]
+        self.steps = [("_arc_step", far, cw), ("_sweep_step", 0.0, cw),
+                      ("_arc_step", near, cw), ("_sweep_step", 0.0, not cw)]
 
-    # movement helpers ----------------------------------------------------
+    def _delegate_step(self, obs: Observation) -> Action:
+        return self.delegate.decide(obs)
+
+    # movement steps --------------------------------------------------------
 
     def _arc(self, cur: float, target: float, d: float) -> float:
         """Arc from ``cur`` to ``target`` in direction ``d``; a full loop is 0."""
@@ -349,6 +387,7 @@ class Alg2Ring(Policy):
         return 0.0 if arc >= self.c - EPS else arc
 
     def _arc_step(self, obs: Observation, target: float, clockwise: bool) -> Optional[Action]:
+        """Travel to ``target`` in the given direction."""
         cur = self.ctx.space.norm(obs.position)
         d = 1.0 if clockwise else -1.0
         arc = self._arc(cur, target, d)
@@ -367,16 +406,22 @@ class Alg2Ring(Policy):
             off = self._arc(cur, p, d)
             return off if off <= remaining + EPS else None
 
-        stop = next_stop(self.points, obs, offset)
-        if stop is not None:
-            if stop[0] <= EPS:
-                return WaitForRelease(stop[1])
-            return self._arc_step(obs, self.points[stop[1]], clockwise)
-        if remaining <= EPS:
-            return None
+        act = next_stop(self.points, obs, offset,
+                        lambda p: self._arc_step(obs, p, clockwise))
+        if act is not None or remaining <= EPS:
+            return act
         return self._arc_step(obs, end, clockwise)
 
-    # branch 2 pieces -------------------------------------------------------
+    def _mop_step(self, obs: Observation, clockwise: bool) -> Optional[Action]:
+        """Travel to the farthest unserved request, ties to the lowest id; the
+        target is fixed when the step starts."""
+        dist = self.ctx.space.distance
+        rid = max((r for r in self.points if r not in obs.served),
+                  key=lambda r: (dist(self.points[r], 0.0), -r))
+        self.steps[0] = ("_arc_step", self.points[rid], clockwise)
+        return self._arc_step(obs, self.points[rid], clockwise)
+
+    # branch 2 --------------------------------------------------------------
 
     def _find_window(self, obs: Observation) -> Optional[Tuple[bool, float]]:
         c, third, half = self.c, self.c / 3, self.c / 2
@@ -402,38 +447,17 @@ class Alg2Ring(Policy):
             return None
         return (best[1], best[2])
 
-    def decide(self, obs: Observation) -> Action:
-        if self.delegate is not None:
-            return self.delegate.decide(obs)
-        if self.branch == 2 and not self.legs:
-            w = self._find_window(obs)
-            if w is None:
-                return WaitForRelease(None)
-            self.window = w
-            clockwise, target = w
-            self.legs = [(target, clockwise, False), (0.0, clockwise, True),
-                         (None, clockwise, False), (0.0, not clockwise, True)]
-        return self._run_legs(obs)
-
-    def _run_legs(self, obs: Observation) -> Action:
-        """Follow the legs ``(target, clockwise, wait)``: travel to ``target``
-        in the leg's direction, as a serve-with-wait sweep when ``wait``.  A
-        None target (the mop) is fixed when the leg starts: the farthest
-        unserved request, ties to the lowest id."""
-        while self.ptr < len(self.legs):
-            target, clockwise, wait = self.legs[self.ptr]
-            if target is None:
-                dist = self.ctx.space.distance
-                rid = max((r for r in self.points if r not in obs.served),
-                          key=lambda r: (dist(self.points[r], 0.0), -r))
-                target = self.points[rid]
-                self.legs[self.ptr] = (target, clockwise, wait)
-            step = self._sweep_step if wait else self._arc_step
-            act = step(obs, target, clockwise)
-            if act is not None:
-                return act
-            self.ptr += 1
-        raise SimulationError("alg2 ran out of legs with requests unserved")
+    def _window_step(self, obs: Observation) -> Optional[Action]:
+        """Wait for a released third of the ring, then loop through it and
+        mop up on the way back."""
+        w = self._find_window(obs)
+        if w is None:
+            return WaitForRelease(None)
+        self.window = w
+        clockwise, target = w
+        self.steps[1:1] = [("_arc_step", target, clockwise), ("_sweep_step", 0.0, clockwise),
+                           ("_mop_step", clockwise), ("_sweep_step", 0.0, not clockwise)]
+        return None
 
 
 # Star policy (closed) -----------------------------------------------------------
@@ -447,7 +471,8 @@ class RaySummary:
 
 
 def ray_summaries(points: Dict[int, Point], ray_count: int, released_ids) -> List[RaySummary]:
-    """Outermost-anchored released length per ray at one instant in time."""
+    """Per ray: its length (the deepest request) and its outermost-anchored
+    released length at one instant in time."""
     out = []
     for j in range(ray_count):
         depths = [d for (r, d) in points.values() if r == j and d > EPS]
@@ -465,7 +490,7 @@ def ray_summaries(points: Dict[int, Point], ray_count: int, released_ids) -> Lis
     return out
 
 
-class Alg3Star(Policy):
+class Alg3Star(Route):
     """Closed star policy.  A ray holding a quarter of the total length is
     served first, inward with waiting; otherwise wait one total-length unit,
     then burn a half-length budget on the rays whose outer segments pay best
@@ -477,11 +502,10 @@ class Alg3Star(Policy):
     requires_variant = CLOSED
 
     def __init__(self, mode: str = "exact", eps: float = 0.1):
+        if mode == "fptas" and not 0 < eps <= 1:
+            raise ValueError(f"alg3-star fptas epsilon must be in (0, 1], got {eps}")
         self.mode = mode
         self.eps = eps
-        self.phase = "init"
-        self.queue: List[int] = []
-        self.traverse_leg = "out"
         self.chosen_rays: Tuple[int, ...] = ()
         self.summaries: List[RaySummary] = []
 
@@ -489,109 +513,55 @@ class Alg3Star(Policy):
         self.ctx = ctx
         self.points = dict(ctx.locations or {})
         k = ctx.space.ray_count
-        self.ray_len = [0.0] * k
-        for (r, d) in self.points.values():
-            if d > EPS:
-                self.ray_len[r] = max(self.ray_len[r], d)
+        self.ray_len = [s.length for s in ray_summaries(self.points, k, ())]
         self.total = sum(self.ray_len)
         big = max(range(k), key=lambda j: (self.ray_len[j], -j))
         if self.ray_len[big] >= self.total / 4 - 1e-12:
-            self.phase = "case1_out"
-            self.big_ray = big
+            self.steps = [("go", (big, self.ray_len[big])), ("_sweep_in", big)]
         else:
-            self.phase = "case2_wait"
+            self.steps = [("_choose_rays",)]
+        self.steps += [("go", ctx.space.origin()), ("all_released",), ("_mop_step",)]
 
-    def decide(self, obs: Observation) -> Action:
-        space = self.ctx.space
-        o = space.origin()
-        if self.phase == "case1_out":
-            tip = (self.big_ray, self.ray_len[self.big_ray])
-            if self.ray_len[self.big_ray] > EPS and space.distance(obs.position, tip) > EPS:
-                return MoveTo(tip)
-            self.phase = "case1_in"
-        if self.phase == "case1_in":
-            act = self._ray_sweep_in(obs, self.big_ray)
-            if act is not None:
-                return act
-            self.phase = "wait_all"
-        if self.phase == "case2_wait":
-            if obs.now < self.total - EPS:
-                return WaitUntil(self.total)
-            self.summaries = ray_summaries(self.points, space.ray_count, obs.released)
-            items = [
-                KnapsackItem(s.index, s.length, s.released_prefix)
-                for s in self.summaries
-                if s.length > EPS
-            ]
-            sel = knapsack_select(items, self.total / 2 + 1e-12, self.mode, self.eps)
-            self.chosen_rays = sel.indices
-            self.queue = list(sel.indices)
-            self.phase = "case2_traverse"
-        if self.phase == "case2_traverse":
-            act = self._traverse_step(obs)
-            if act is not None:
-                return act
-            self.phase = "wait_all"
-        if self.phase == "wait_all":
-            if space.distance(obs.position, o) > EPS:
-                return MoveTo(o)
-            if len(obs.released) < self.ctx.n:
-                return WaitForRelease(None)
-            self.phase = "mop"
-        if self.phase == "mop":
-            return self._mop_step(obs)
-        raise SimulationError(f"alg3 in unexpected phase {self.phase}")
-
-    def _ray_sweep_in(self, obs: Observation, ray: int) -> Optional[Action]:
+    def _sweep_in(self, obs: Observation, ray: int) -> Optional[Action]:
         pos = obs.position
         depth = pos[1] if isinstance(pos, tuple) and pos[0] == ray else 0.0
-        stop = next_stop(self.points, obs,
-                         lambda p: depth - p[1] if p[0] == ray or p[1] <= EPS else None)
-        if stop is not None:
-            if stop[0] <= EPS:
-                return WaitForRelease(stop[1])
-            return MoveTo((ray, self.points[stop[1]][1]))
-        if depth > EPS:
+        act = next_stop(self.points, obs,
+                        lambda p: depth - p[1] if p[0] == ray or p[1] <= EPS else None,
+                        lambda p: MoveTo((ray, p[1])))
+        if act is None and depth > EPS:
             return MoveTo((ray, 0.0))
+        return act
+
+    def _choose_rays(self, obs: Observation) -> Optional[Action]:
+        """At time ``total``, pick the rays to traverse and add a round trip
+        to each tip."""
+        if obs.now < self.total - EPS:
+            return WaitUntil(self.total)
+        self.summaries = ray_summaries(self.points, self.ctx.space.ray_count, obs.released)
+        items = [
+            KnapsackItem(s.index, s.length, s.released_prefix)
+            for s in self.summaries
+            if s.length > EPS
+        ]
+        sel = knapsack_select(items, self.total / 2 + 1e-12, self.mode, self.eps)
+        self.chosen_rays = sel.indices
+        o = self.ctx.space.origin()
+        self.steps[1:1] = [step for ray in sel.indices
+                           for step in (("go", (ray, self.ray_len[ray])), ("go", o))]
         return None
 
-    def _traverse_step(self, obs: Observation) -> Optional[Action]:
-        space = self.ctx.space
-        o = space.origin()
-        while self.queue:
-            ray = self.queue[0]
-            tip = (ray, self.ray_len[ray])
-            if self.traverse_leg == "out":
-                if space.distance(obs.position, tip) > EPS:
-                    return MoveTo(tip)
-                self.traverse_leg = "home"
-            if space.distance(obs.position, o) > EPS:
-                return MoveTo(o)
-            self.queue.pop(0)
-            self.traverse_leg = "out"
-        return None if space.distance(obs.position, o) <= EPS else MoveTo(o)
-
     def _mop_step(self, obs: Observation) -> Action:
-        space = self.ctx.space
-        o = space.origin()
-        unserved = [rid for rid in self.points if rid not in obs.served]
+        """Serve what is left: deeper on the current ray, else home, else the
+        deepest request on the lowest ray that has one."""
         pos = obs.position
+        left = [(r, d) for rid, (r, d) in self.points.items()
+                if rid not in obs.served and d > EPS]
         if isinstance(pos, tuple) and pos[1] > EPS:
-            deeper = [
-                (d, rid)
-                for rid, (r, d) in self.points.items()
-                if rid in unserved and r == pos[0] and d > pos[1] + EPS
-            ]
-            if deeper:
-                return MoveTo((pos[0], max(deeper)[0]))
-            return MoveTo(o)
-        for ray in range(space.ray_count):
-            depths = [
-                d for rid, (r, d) in self.points.items()
-                if rid in unserved and r == ray and d > EPS
-            ]
-            if depths:
-                return MoveTo((ray, max(depths)))
+            deeper = [d for r, d in left if r == pos[0] and d > pos[1] + EPS]
+            return MoveTo((pos[0], max(deeper)) if deeper else self.ctx.space.origin())
+        if left:
+            ray = min(r for r, _ in left)
+            return MoveTo((ray, max(d for r, d in left if r == ray)))
         # only origin requests remain; they are released and auto-served
         return WaitForRelease(None)
 
@@ -599,92 +569,89 @@ class Alg3Star(Policy):
 # Semi-line policies --------------------------------------------------------------
 
 
-class Alg4Semiline(Policy):
-    """Open semi-line policy: a guarded right-sweep, then a commitment to the
-    midpoint, then one of two single-direction finishing passes."""
+class _SemilineRoute(Route):
+    """Shared set-up of the semi-line policies: the points and the farthest
+    one, ``limit``."""
 
-    name = "alg4-semiline"
     needs_locations = True
     requires_kind = "semiline"
-    requires_variant = OPEN
-
-    def __init__(self):
-        self.phase = "A"
-        self.x_frozen: Optional[float] = None
 
     def begin(self, ctx: PolicyContext) -> None:
         self.ctx = ctx
         self.points = dict(ctx.locations or {})
         self.limit = max(self.points.values(), default=0.0)
 
+    def _out(self, obs: Observation) -> Optional[Action]:
+        """Travel out to the farthest request."""
+        return MoveTo(self.limit) if obs.position < self.limit - EPS else None
+
+
+class Alg4Semiline(_SemilineRoute):
+    """Open semi-line policy: a guarded right-sweep, then a commitment to the
+    midpoint, then one of two single-direction finishing passes."""
+
+    name = "alg4-semiline"
+    requires_variant = OPEN
+
+    def __init__(self):
+        self.x_frozen: Optional[float] = None
+        self.steps = [("_guarded_sweep",), ("_commit",)]
+
     def _lowest_unreleased(self, obs: Observation) -> float:
         vals = [p for rid, p in self.points.items() if rid not in obs.released]
         return min(vals) if vals else math.inf
 
-    def decide(self, obs: Observation) -> Action:
+    def _guarded_sweep(self, obs: Observation) -> Optional[Action]:
+        """Sweep right, waiting at the lowest unreleased request, until it is
+        left of ``limit / 4`` at time ``limit / 2 + x``; then freeze ``x``."""
         limit = self.limit
-        pos = obs.position
         x = self._lowest_unreleased(obs)
+        if x < limit / 4 - EPS and obs.now >= limit / 2 + x - EPS:
+            self.x_frozen = x
+            return None
+        if math.isinf(x):
+            target = max(
+                p for rid, p in self.points.items() if rid not in obs.served
+            )
+            return MoveTo(target)
+        if obs.position < x - EPS:
+            return MoveTo(x)
+        rid = min(r for r, p in self.points.items()
+                  if r not in obs.released and abs(p - x) <= EPS)
+        if x < limit / 4 - EPS:
+            return WaitUntil(limit / 2 + x)
+        return WaitForRelease(rid)
 
-        if self.phase == "A":
-            if x < limit / 4 - EPS and obs.now >= limit / 2 + x - EPS:
-                self.phase = "B"
-                self.x_frozen = x
-            else:
-                if math.isinf(x):
-                    target = max(
-                        p for rid, p in self.points.items() if rid not in obs.served
-                    )
-                    return MoveTo(target)
-                if pos < x - EPS:
-                    return MoveTo(x)
-                rid = min(r for r, p in self.points.items()
-                          if r not in obs.released and abs(p - x) <= EPS)
-                if x < limit / 4 - EPS:
-                    return WaitUntil(limit / 2 + x)
-                return WaitForRelease(rid)
+    def _commit(self, obs: Observation) -> Optional[Action]:
+        """Hold the midpoint, then finish leftward-first once the left quarter
+        is clear, or rightward-first once the right quarter is released."""
+        limit = self.limit
+        left_clear = self._lowest_unreleased(obs) > limit / 4 + EPS
+        if left_clear:
+            self.steps[1:1] = [("_back_left",), ("_sweep", True)]
+        elif obs.now < limit - EPS:
+            return MoveTo(limit / 2)
+        elif not any(
+            p >= 3 * limit / 4 - EPS
+            for rid, p in self.points.items()
+            if rid not in obs.released
+        ):
+            self.steps[1:1] = [("_out",), ("_sweep", False)]
+        else:
+            return WaitForRelease(None)
+        return None
 
-        if self.phase == "B":
-            left_clear = x > limit / 4 + EPS
-            if obs.now < limit - EPS:
-                if left_clear:
-                    self.phase = "back_left"
-                else:
-                    return MoveTo(limit / 2)
-            else:
-                if left_clear:
-                    self.phase = "back_left"
-                elif not any(
-                    p >= 3 * limit / 4 - EPS
-                    for rid, p in self.points.items()
-                    if rid not in obs.released
-                ):
-                    self.phase = "go_right"
-                else:
-                    return WaitForRelease(None)
-
-        if self.phase == "back_left":
-            if pos > self.x_frozen + EPS:
-                return MoveTo(self.x_frozen)
-            self.phase = "sweep_right"
-        if self.phase == "sweep_right":
-            return self._sweep(obs, rightward=True)
-        if self.phase == "go_right":
-            if pos < limit - EPS:
-                return MoveTo(limit)
-            self.phase = "sweep_left"
-        if self.phase == "sweep_left":
-            return self._sweep(obs, rightward=False)
-        raise SimulationError(f"alg4 in unexpected phase {self.phase}")
+    def _back_left(self, obs: Observation) -> Optional[Action]:
+        if obs.position > self.x_frozen + EPS:
+            return MoveTo(self.x_frozen)
+        return None
 
     def _sweep(self, obs: Observation, rightward: bool) -> Action:
         pos = obs.position
         sign = 1.0 if rightward else -1.0
-        stop = next_stop(self.points, obs, lambda p: (p - pos) * sign)
-        if stop is not None:
-            if stop[0] <= EPS:
-                return WaitForRelease(stop[1])
-            return MoveTo(self.points[stop[1]])
+        act = next_stop(self.points, obs, lambda p: (p - pos) * sign, MoveTo)
+        if act is not None:
+            return act
         ahead = [
             p for rid, p in self.points.items()
             if rid not in obs.served and (p - pos) * sign > EPS
@@ -694,34 +661,21 @@ class Alg4Semiline(Policy):
         return WaitForRelease(None)
 
 
-class Alg5Semiline(Policy):
+class Alg5Semiline(_SemilineRoute):
     """Closed semi-line policy: out to the farthest request, then one inward
     serve-with-wait sweep back to the origin.  Matches the offline optimum."""
 
     name = "alg5-semiline"
-    needs_locations = True
-    requires_kind = "semiline"
     requires_variant = CLOSED
 
     def __init__(self):
-        self.reached_tip = False
+        self.steps = [("_out",), ("_sweep_home",)]
 
-    def begin(self, ctx: PolicyContext) -> None:
-        self.ctx = ctx
-        self.points = dict(ctx.locations or {})
-        self.limit = max(self.points.values(), default=0.0)
-
-    def decide(self, obs: Observation) -> Action:
+    def _sweep_home(self, obs: Observation) -> Action:
         pos = obs.position
-        if not self.reached_tip:
-            if pos < self.limit - EPS:
-                return MoveTo(self.limit)
-            self.reached_tip = True
-        stop = next_stop(self.points, obs, lambda p: pos - p)
-        if stop is not None:
-            if stop[0] <= EPS:
-                return WaitForRelease(stop[1])
-            return MoveTo(self.points[stop[1]])
+        act = next_stop(self.points, obs, lambda p: pos - p, MoveTo)
+        if act is not None:
+            return act
         lows = [p for rid, p in self.points.items() if rid not in obs.served and p <= pos + EPS]
         return MoveTo(min(lows, default=self.ctx.space.origin()))
 
@@ -729,7 +683,7 @@ class Alg5Semiline(Policy):
 # Baselines ------------------------------------------------------------------------
 
 
-class WaitAll(Policy):
+class WaitAll(Route):
     """Wait at the origin for all releases, then run the optimal zero-release
     tour/path over what remains.  Needs only the request count up front."""
 
@@ -738,35 +692,31 @@ class WaitAll(Policy):
 
     def __init__(self):
         self.order: Optional[List[int]] = None
-        self.cursor = 0
+        self.steps = [("all_released",), ("_plan",), ("_tour_step",)]
 
     def begin(self, ctx: PolicyContext) -> None:
         if ctx.n > MAX_REQUESTS:
             raise SimulationError(f"wait-all is capped at {MAX_REQUESTS} requests (exact tour)")
         self.ctx = ctx
 
-    def decide(self, obs: Observation) -> Action:
+    def _plan(self, obs: Observation) -> None:
         from .oracle import opt_makespan
 
-        if len(obs.released) < self.ctx.n:
-            return WaitForRelease(None)
-        if self.order is None:
-            remaining = sorted(set(obs.released) - set(obs.served))
-            synthetic = Instance(
-                space=self.ctx.space,
-                variant=self.ctx.variant,
-                requests=tuple(
-                    Request(i + 1, obs.released[rid].point, 0.0)
-                    for i, rid in enumerate(remaining)
-                ),
-            )
-            result = opt_makespan(synthetic)
-            self.order = [remaining[i - 1] for i in result.order]
-        while self.cursor < len(self.order) and self.order[self.cursor] in obs.served:
-            self.cursor += 1
-        if self.cursor < len(self.order):
-            return MoveTo(obs.released[self.order[self.cursor]].point)
-        return MoveTo(self.ctx.space.origin())  # all served: a closed run goes home
+        remaining = sorted(set(obs.released) - set(obs.served))
+        synthetic = Instance(
+            space=self.ctx.space,
+            variant=self.ctx.variant,
+            requests=tuple(
+                Request(i + 1, obs.released[rid].point, 0.0)
+                for i, rid in enumerate(remaining)
+            ),
+        )
+        result = opt_makespan(synthetic)
+        self.order = [remaining[i - 1] for i in result.order]
+        self.points = {rid: req.point for rid, req in obs.released.items()}
+
+    def _tour_step(self, obs: Observation) -> Action:
+        return follow(obs, self.ctx.space, self.order, self.points)
 
 
 class Greedy(Policy):
@@ -801,10 +751,10 @@ def make_policy(name: str) -> Policy:
     if base == "alg2-ring":
         return Alg2Ring()
     if base == "alg3-star":
-        if not suffix or suffix == "exact":
+        mode, _, val = suffix.partition("=")
+        if suffix in ("", "exact"):
             return Alg3Star("exact")
-        if suffix.startswith("fptas"):
-            _, _, val = suffix.partition("=")
+        if mode == "fptas":
             return Alg3Star("fptas", float(val) if val else 0.1)
         raise ValueError(f"unknown alg3-star mode {suffix!r}")
     if base == "alg4-semiline":

@@ -14,6 +14,7 @@ from typing import List, Optional, Sequence
 from . import adversaries as adv_mod
 from . import algorithms as alg_mod
 from .engine import (
+    Outcome,
     SimulationError,
     check_completion,
     competitive_ratio,
@@ -99,12 +100,28 @@ def report(rows: Sequence[BatchRow], fmt: str, bound: Optional[float],
     return "\n".join(lines) + "\n"
 
 
-def _cmd_simulate(args) -> int:
-    with open(args.instance, "r", encoding="utf-8") as fh:
+def _read_instance(path: str) -> Optional[Instance]:
+    """The instance in file ``path``, or None after printing why it is invalid."""
+    with open(path, "r", encoding="utf-8") as fh:
         inst = decode(fh.read())
     issues = validate_instance(inst)
     if issues:
         print("invalid instance: " + "; ".join(issues), file=sys.stderr)
+        return None
+    return inst
+
+
+def _feasible(inst: Instance, out: Outcome, where: str = "") -> bool:
+    """Whether ``out`` passes ``verify_outcome``; prints the issues if not."""
+    bad = verify_outcome(inst, out)
+    if bad:
+        print(f"{where}infeasible outcome: " + "; ".join(bad), file=sys.stderr)
+    return not bad
+
+
+def _cmd_simulate(args) -> int:
+    inst = _read_instance(args.instance)
+    if inst is None:
         return BOUND_ERROR
     policy = alg_mod.make_policy(args.policy)
     msg = pairing_error(policy, inst.space.kind, inst.variant, inst.knowledge)
@@ -112,9 +129,7 @@ def _cmd_simulate(args) -> int:
         print(msg, file=sys.stderr)
         return USAGE_ERROR
     out = simulate(inst, policy)
-    bad = verify_outcome(inst, out)
-    if bad:
-        print("infeasible outcome: " + "; ".join(bad), file=sys.stderr)
+    if not _feasible(inst, out):
         return BOUND_ERROR
     line = f"completion {_num(out.completion)}"
     if inst.n <= MAX_REQUESTS:
@@ -131,8 +146,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    with open(args.instance, "r", encoding="utf-8") as fh:
-        inst = decode(fh.read())
+    inst = _read_instance(args.instance)
+    if inst is None:
+        return BOUND_ERROR
     res = opt_makespan(inst)
     order = ",".join(str(i) for i in res.order)
     times = ",".join(_num(t) for t in res.per_step_times)
@@ -191,9 +207,7 @@ def _cmd_batch(args) -> int:
         inst = _gen_instance(args, seed, knowledge)
         policy = alg_mod.make_policy(args.policy)
         out = simulate(inst, policy)
-        bad = verify_outcome(inst, out)
-        if bad:
-            print(f"seed {seed}: infeasible outcome: " + "; ".join(bad), file=sys.stderr)
+        if not _feasible(inst, out, f"seed {seed}: "):
             return BOUND_ERROR
         opt = opt_makespan(inst).makespan
         check_completion(out.completion, opt)
@@ -229,6 +243,11 @@ def _cmd_adversary(args) -> int:
         print(msg, file=sys.stderr)
         return USAGE_ERROR
     run = adv_mod.run_adversary(adversary, policy)
+    # Checked against the realized releases under the engine's ids, which
+    # ``run.materialized`` renumbers by position.
+    realized = Instance(adversary.space, adversary.variant, run.outcome.realized)
+    if not _feasible(realized, run.outcome):
+        return BOUND_ERROR
     if run.opt_completion is None:
         opt = f"opt unavailable (n={run.materialized.n} > oracle cap {MAX_REQUESTS})"
     else:

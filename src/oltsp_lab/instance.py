@@ -157,18 +157,27 @@ def _require(obj: dict, field_name: str, where: str = ""):
     return obj[field_name]
 
 
+def _integer(raw, what: str) -> int:
+    if not isinstance(raw, int) or isinstance(raw, bool):
+        raise FormatError(f"bad {what}: expected integer, got {raw!r}")
+    return raw
+
+
+def _number(raw, what: str) -> float:
+    # Python's json module also reads NaN and Infinity, which JSON lacks.
+    if not isinstance(raw, (int, float)) or isinstance(raw, bool) or not math.isfinite(raw):
+        raise FormatError(f"bad {what}: expected number, got {raw!r}")
+    return float(raw)
+
+
 def _decode_point(kind: str, raw, where: str) -> Point:
     if kind in ("semiline", "line", "ring"):
-        if not isinstance(raw, (int, float)) or isinstance(raw, bool):
-            raise FormatError(f"bad point in {where}: expected number, got {raw!r}")
-        return float(raw)
+        return _number(raw, f"point in {where}")
     if kind == "star":
         if not (isinstance(raw, list) and len(raw) == 2):
             raise FormatError(f"bad point in {where}: expected [ray, depth]")
-        return (int(raw[0]), float(raw[1]))
-    if not isinstance(raw, int) or isinstance(raw, bool):
-        raise FormatError(f"bad point in {where}: expected node id")
-    return raw
+        return (_integer(raw[0], f"ray in {where}"), _number(raw[1], f"depth in {where}"))
+    return _integer(raw, f"point in {where}")
 
 
 def decode(text: str) -> Instance:
@@ -185,12 +194,16 @@ def decode(text: str) -> Instance:
     elif kind == "line":
         space = Line()
     elif kind == "ring":
-        space = Ring(float(_require(raw_space, "circumference", "space")))
+        space = Ring(_number(_require(raw_space, "circumference", "space"), "circumference"))
     elif kind == "star":
-        space = Star(int(_require(raw_space, "rayCount", "space")))
+        space = Star(_integer(_require(raw_space, "rayCount", "space"), "rayCount"))
     elif kind == "general":
-        rows = _require(raw_space, "matrix", "space")
-        space = General.from_rows(rows, bool(_require(raw_space, "symmetric", "space")))
+        rows = [[_number(x, "matrix entry") for x in row]
+                for row in _require(raw_space, "matrix", "space")]
+        symmetric = _require(raw_space, "symmetric", "space")
+        if not isinstance(symmetric, bool):
+            raise FormatError(f"bad symmetric: expected true or false, got {symmetric!r}")
+        space = General.from_rows(rows, symmetric)
     else:
         raise FormatError(f"unknown space kind {kind!r}")
     variant = _require(doc, "variant")
@@ -204,9 +217,9 @@ def decode(text: str) -> Instance:
         where = f"requests[{i}]"
         reqs.append(
             Request(
-                id=int(_require(raw, "id", where)),
+                id=_integer(_require(raw, "id", where), f"id in {where}"),
                 point=_decode_point(kind, _require(raw, "point", where), where),
-                release=float(_require(raw, "release", where)),
+                release=_number(_require(raw, "release", where), f"release in {where}"),
             )
         )
     return Instance(space=space, variant=variant, requests=tuple(reqs), knowledge=knowledge)

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from oltsp_lab.algorithms import (
     Alg1General,
     Alg2Ring,
     Alg3Star,
+    Route,
     alpha,
     make_policy,
     tour_stats,
@@ -216,7 +219,6 @@ class PerOrderAlg1(Alg1General):
         self.order = [int(r) + 1 for r in self.perms[i1]]
         self.chosen_t = obs.now
         self.chosen_objective = float(objective[i1])
-        self.started = True
 
 
 def _alg1_choice(pol):
@@ -484,3 +486,48 @@ def test_greedy_tie_breaks_by_lower_id():
     out = simulate(inst, make_policy("greedy"))
     assert out.services[1] == pytest.approx(0.5)
     assert out.services[2] == pytest.approx(1.5)
+
+
+# The step runner ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name,kind,sp,variant", [
+    ("alg1", "general", {}, CLOSED),
+    ("alg2-ring", "ring", {}, CLOSED),
+    ("alg2-ring", "ring", {"non_line_like": True}, CLOSED),
+    ("alg3-star", "star", {"ray_count": 5}, CLOSED),
+    ("alg3-star:fptas=0.1", "star", {"ray_count": 5}, CLOSED),
+    ("alg4-semiline", "semiline", {}, OPEN),
+    ("alg5-semiline", "semiline", {}, CLOSED),
+    ("wait-all", "line", {}, CLOSED),
+    ("greedy", "line", {}, OPEN),
+])
+def test_policy_freed_by_reference_counting(name, kind, sp, variant):
+    # Steps stored as bound methods or closures would make each policy a
+    # reference cycle, which only the cycle collector frees.
+    gc.disable()
+    try:
+        for seed in range(20):
+            inst = generate_random(GenParams(6, seed, 2.0, sp), kind, variant=variant)
+            policy = make_policy(name)
+            ref = weakref.ref(policy)
+            simulate(inst, policy)
+            del policy
+            assert ref() is None, f"{name} seed {seed}"
+    finally:
+        gc.enable()
+
+
+def test_route_out_of_steps_names_the_policy():
+    class Idle(Route):
+        name = "idle"
+
+        def __init__(self):
+            self.steps = [("all_released",)]
+
+        def begin(self, ctx):
+            self.ctx = ctx
+
+    inst = make_instance(SemiLine(), CLOSED, [(0.5, 0.0)])
+    with pytest.raises(SimulationError, match="'idle' ran out of steps"):
+        simulate(inst, Idle())

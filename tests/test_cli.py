@@ -39,6 +39,17 @@ def test_oracle_command(ex1_file, capsys):
     assert "order 1,2,3" in out
 
 
+def test_oracle_and_simulate_reject_invalid_instance(tmp_path, example1, capsys):
+    first = replace(example1.requests[0], release=-3.0)
+    path = tmp_path / "bad.json"
+    path.write_text(encode(replace(example1, requests=(first,) + example1.requests[1:])))
+    for argv in (["oracle"], ["simulate", "--policy", "alg1"]):
+        assert run_cli(argv + ["--instance", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "invalid instance: request 1 has negative release -3.0" in captured.err
+        assert captured.out == ""
+
+
 def test_gen_roundtrip(tmp_path):
     target = tmp_path / "inst.json"
     code = run_cli([
@@ -95,6 +106,13 @@ def test_adversary_command(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "ratio 1.5" in out
+
+
+def test_adversary_infeasible_outcome_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "verify_outcome", lambda inst, out: ["boom"])
+    code = run_cli(["adversary", "--name", "ring-open", "--policy", "alg1"])
+    assert code == 1
+    assert "infeasible outcome: boom" in capsys.readouterr().err
 
 
 def test_adversary_epsilon_suffix(capsys):
@@ -159,6 +177,12 @@ def test_usage_error_exit_code(capsys):
                     "--variant", "closed", "--policy", "greedy", "--count", "1",
                     "--seed", "0"]) == 2
     capsys.readouterr()
+    # the fptas epsilon is checked when the policy is built, before any run
+    for mode in ("fptas=0", "fptas=-1", "fptas=5", "fptasx"):
+        assert run_cli(["batch", "--kind", "star", "--variant", "closed",
+                        "--policy", f"alg3-star:{mode}", "--count", "1",
+                        "--seed", "0"]) == 2
+        capsys.readouterr()
 
 
 def test_report_empty_rows():

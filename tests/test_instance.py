@@ -77,6 +77,38 @@ def test_decode_missing_variant(example1):
         decode(json.dumps(doc))
 
 
+STRICT_BASES = {
+    "star": ({"kind": "star", "rayCount": 3}, [2, 0.5]),
+    "ring": ({"kind": "ring", "circumference": 1.0}, 0.5),
+    "general": ({"kind": "general", "matrix": [[0, 1], [1, 0]], "symmetric": True}, 1),
+}
+
+
+@pytest.mark.parametrize("kind,where,field,value", [
+    ("star", "request", "id", 1.9),
+    ("star", "request", "id", True),
+    ("star", "request", "point", [2.7, 0.5]),
+    ("star", "request", "point", [2, "0.5"]),
+    ("star", "request", "release", "1.0"),
+    ("star", "request", "release", float("nan")),
+    ("star", "space", "rayCount", 3.0),
+    ("ring", "request", "point", "0.5"),
+    ("ring", "space", "circumference", "1"),
+    ("ring", "space", "circumference", float("inf")),
+    ("general", "request", "point", 1.0),
+    ("general", "space", "matrix", [[0, "1"], [1, 0]]),
+    ("general", "space", "symmetric", "false"),
+])
+def test_decode_rejects_wrong_json_types(kind, where, field, value):
+    space, point = STRICT_BASES[kind]
+    doc = {"space": dict(space), "variant": "closed", "knowledge": "locations",
+           "requests": [{"id": 1, "point": point, "release": 1.0}]}
+    assert decode(json.dumps(doc)).n == 1
+    (doc["space"] if where == "space" else doc["requests"][0])[field] = value
+    with pytest.raises(FormatError, match="bad"):
+        decode(json.dumps(doc))
+
+
 def test_decode_malformed_reports_line():
     with pytest.raises(FormatError, match="line"):
         decode("{\n  broken\n}")
