@@ -52,11 +52,11 @@ def tour_stats(space, variant: str, points: Dict[int, Point], order: Sequence[in
     total = 0.0
     prev = o
     for rid in order:
-        total += space.distance(prev, points[rid])
+        total += space.unchecked_distance(prev, points[rid])
         prefix.append(total)
         prev = points[rid]
     if variant == CLOSED and order:
-        total += space.distance(prev, o)
+        total += space.unchecked_distance(prev, o)
     return TourStats(tuple(order), total, tuple(prefix))
 
 
@@ -100,7 +100,7 @@ def follow(obs: Observation, space, order: Sequence[int],
     for rid in order:
         if rid not in obs.served:
             target = points[rid]
-            if space.distance(obs.position, target) <= EPS:
+            if space.unchecked_distance(obs.position, target) <= EPS:
                 return WaitForRelease(rid)
             return MoveTo(target)
     return MoveTo(space.origin())
@@ -128,7 +128,7 @@ class Route(Policy):
         raise SimulationError(f"policy {self.name!r} ran out of steps with requests unserved")
 
     def go(self, obs: Observation, target: Point) -> Optional[Action]:
-        if self.ctx.space.distance(obs.position, target) > EPS:
+        if self.ctx.space.unchecked_distance(obs.position, target) > EPS:
             return MoveTo(target)
         return None
 
@@ -730,13 +730,13 @@ class Greedy(Policy):
 
     def decide(self, obs: Observation) -> Action:
         space = self.ctx.space
-        o = space.origin()
+        o, dist = space.origin(), space.unchecked_distance
         candidates = [rid for rid in obs.released if rid not in obs.served]
         if not candidates:
-            if space.distance(obs.position, o) > EPS:
+            if dist(obs.position, o) > EPS:
                 return MoveTo(o)
             return WaitForRelease(None)
-        rid = min(candidates, key=lambda r: (space.distance(obs.position, obs.released[r].point), r))
+        rid = min(candidates, key=lambda r: (dist(obs.position, obs.released[r].point), r))
         return MoveTo(obs.released[rid].point)
 
 

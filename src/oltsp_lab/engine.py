@@ -182,12 +182,6 @@ class Outcome:
 # Simulation -------------------------------------------------------------------
 
 
-@dataclass
-class _Pending:
-    point: Point
-    release: Optional[float]  # None until an adversary emits it
-
-
 def simulate(scenario: Scenario, policy: Policy, step_budget: int = 1_000_000) -> Outcome:
     space = scenario.space
     variant = scenario.variant
@@ -197,32 +191,30 @@ def simulate(scenario: Scenario, policy: Policy, step_budget: int = 1_000_000) -
         raise SimulationError(refusal)
 
     adversary: Optional[Adversary] = None
-    requests: Dict[int, _Pending] = {}
+    points: Dict[int, Point] = {}
+    releases: Dict[int, float] = {}  # an adversary's requests lack one until emitted
     schedule: List[Tuple[float, int]] = []  # (release time, id) heap
     n_total: int
 
     if isinstance(scenario, Instance):
         n_total = scenario.n
         for req in scenario.requests:
-            requests[req.id] = _Pending(req.point, req.release)
+            points[req.id], releases[req.id] = req.point, req.release
             heapq.heappush(schedule, (req.release, req.id))
     else:
         adversary = scenario
         n_total = adversary.n
-        announced = adversary.announced()
-        if announced:
-            for rid in sorted(announced):
-                requests[rid] = _Pending(announced[rid], None)
+        points.update(sorted((adversary.announced() or {}).items()))
+    for p in points.values():  # checked once; inside the run, distances are unchecked
+        space.check_point(p)
 
-    locations = None
-    if knowledge == LOCATIONS_KNOWN:
-        locations = {rid: p.point for rid, p in requests.items()}
+    locations = dict(points) if knowledge == LOCATIONS_KNOWN else None
     ctx = PolicyContext(space, variant, n_total, knowledge, locations)
 
     now = 0.0
-    origin = space.origin()
+    origin, dist = space.origin(), space.unchecked_distance
     pos = origin
-    released: Dict[int, float] = {}
+    released: Dict[int, Request] = {}
     served: Dict[int, float] = {}
     waypoints: List[Waypoint] = [Waypoint(0.0, pos, "start")]
     adv_wake: Optional[float] = adversary.next_wake(0.0) if adversary else None
@@ -233,25 +225,24 @@ def simulate(scenario: Scenario, policy: Policy, step_budget: int = 1_000_000) -
                 raise SimulationError(
                     f"adversary causality violation: release {em.release} emitted at {now}"
                 )
-            if em.request_id is not None:
-                slot = requests.get(em.request_id)
-                if slot is None or slot.release is not None:
-                    raise SimulationError(f"bad adversary emission for id {em.request_id}")
-                slot.release = em.release
-                heapq.heappush(schedule, (em.release, em.request_id))
+            rid = em.request_id
+            if rid is not None:
+                if rid not in points or rid in releases:
+                    raise SimulationError(f"bad adversary emission for id {rid}")
             else:
-                rid = len(requests) + 1
+                rid = len(points) + 1
                 if rid > n_total:
                     raise SimulationError("adversary emitted more requests than announced")
                 if not space.contains(em.point):
                     raise SimulationError(f"adversary point {em.point!r} outside space")
-                requests[rid] = _Pending(em.point, em.release)
-                heapq.heappush(schedule, (em.release, rid))
+                points[rid] = em.point
+            releases[rid] = em.release
+            heapq.heappush(schedule, (em.release, rid))
 
     def process_due() -> None:
         while schedule and schedule[0][0] <= now + EPS:
             _, rid = heapq.heappop(schedule)
-            released.setdefault(rid, requests[rid].release)
+            released.setdefault(rid, Request(rid, points[rid], releases[rid]))
 
     def auto_serve() -> None:
         nonlocal adv_wake
@@ -262,18 +253,13 @@ def simulate(scenario: Scenario, policy: Policy, step_budget: int = 1_000_000) -
             for rid in sorted(released):
                 if rid in served:
                     continue
-                if space.distance(pos, requests[rid].point) <= EPS:
+                if dist(pos, points[rid]) <= EPS:
                     served[rid] = now
-                    waypoints.append(Waypoint(now, requests[rid].point, "serve", rid))
+                    waypoints.append(Waypoint(now, points[rid], "serve", rid))
                     progress = True
                     if adversary is not None:
                         ingest(adversary.observe(now, pos, frozenset(served)))
                         adv_wake = adversary.next_wake(now)
-
-    def visible() -> Dict[int, Request]:
-        return {
-            rid: Request(rid, requests[rid].point, released[rid]) for rid in released
-        }
 
     policy.begin(ctx)
     steps = 0
@@ -292,11 +278,11 @@ def simulate(scenario: Scenario, policy: Policy, step_budget: int = 1_000_000) -
             adv_wake = adversary.next_wake(now)
             auto_serve()
         if len(served) == n_total and (
-            variant != CLOSED or space.distance(pos, origin) <= EPS
+            variant != CLOSED or dist(pos, origin) <= EPS
         ):
             break
 
-        obs = Observation(now, pos, visible(), frozenset(served), ctx)
+        obs = Observation(now, pos, dict(released), frozenset(served), ctx)
         action = policy.decide(obs)
 
         next_times: List[float] = []
@@ -313,7 +299,7 @@ def simulate(scenario: Scenario, policy: Policy, step_budget: int = 1_000_000) -
             for rid in released:
                 if rid in served:
                     continue
-                off = plan.hit(requests[rid].point)
+                off = plan.hit(points[rid])
                 if off is not None and off > EPS:
                     next_times.append(now + off)
         elif isinstance(action, WaitUntil):
@@ -323,7 +309,7 @@ def simulate(scenario: Scenario, policy: Policy, step_budget: int = 1_000_000) -
         elif isinstance(action, WaitForRelease):
             rid = action.request_id
             if rid is not None:
-                if rid not in requests:
+                if rid not in points:
                     raise SimulationError(f"wait-for-release of unknown id {rid}")
                 if rid in released:
                     raise SimulationError(f"wait-for-release of already released id {rid}")
@@ -350,11 +336,7 @@ def simulate(scenario: Scenario, policy: Policy, step_budget: int = 1_000_000) -
             now = t_next
             waypoints.append(Waypoint(now, pos, "wait"))
 
-    realized = tuple(
-        Request(rid, requests[rid].point, requests[rid].release)
-        for rid in sorted(requests)
-        if requests[rid].release is not None
-    )
+    realized = tuple(Request(rid, points[rid], releases[rid]) for rid in sorted(releases))
     if adversary is not None and len(realized) != n_total:
         raise SimulationError(
             f"adversary defined {len(realized)} of {n_total} announced requests"
@@ -372,9 +354,14 @@ def simulate(scenario: Scenario, policy: Policy, step_budget: int = 1_000_000) -
 
 
 def verify_outcome(inst: Instance, out: Outcome) -> list:
-    """Re-check unit speed, service-after-release, completeness, closed return."""
+    """Re-check unit speed, service-after-release, completeness, closed return.
+    Raises :class:`MetricError` on a waypoint or request outside the space."""
     issues: List[str] = []
     space = inst.space
+    w = out.trajectory.waypoints
+    for p in [wp.point for wp in w] + [r.point for r in inst.requests]:
+        space.check_point(p)
+    dist, origin = space.unchecked_distance, space.origin()
     by_id = {r.id: r for r in inst.requests}
     if set(out.services) != set(by_id):
         issues.append(
@@ -386,17 +373,16 @@ def verify_outcome(inst: Instance, out: Outcome) -> list:
             continue
         if t < req.release - EPS:
             issues.append(f"premature service of request {rid}: {t} < release {req.release}")
-    w = out.trajectory.waypoints
     if not w or w[0].time > EPS:
         issues.append("trajectory does not start at time 0")
-    if w and space.distance(w[0].point, space.origin()) > EPS:
+    if w and dist(w[0].point, origin) > EPS:
         issues.append("trajectory does not start at the origin")
     for a, b in zip(w, w[1:]):
         dt = b.time - a.time
         if dt < -EPS:
             issues.append(f"time goes backwards at {b.time}")
             continue
-        d = space.distance(a.point, b.point)
+        d = dist(a.point, b.point)
         if d > EPS and abs(d - dt) > 1e-6:
             issues.append(
                 f"segment {a.time}->{b.time} is neither a wait nor unit speed "
@@ -407,7 +393,7 @@ def verify_outcome(inst: Instance, out: Outcome) -> list:
     for wp in w:
         if wp.tag == "serve":
             req = by_id.get(wp.request_id)
-            if req is not None and space.distance(wp.point, req.point) > EPS:
+            if req is not None and dist(wp.point, req.point) > EPS:
                 issues.append(f"serve waypoint for {wp.request_id} away from its request")
             st = out.services.get(wp.request_id)
             if st is None or abs(st - wp.time) > EPS:
@@ -418,7 +404,7 @@ def verify_outcome(inst: Instance, out: Outcome) -> list:
     if w and abs(out.completion - w[-1].time) > EPS:
         issues.append("completion disagrees with the trajectory's final time")
     if inst.variant == CLOSED:
-        if w and space.distance(w[-1].point, space.origin()) > EPS:
+        if w and dist(w[-1].point, origin) > EPS:
             issues.append("closed outcome ends away from the origin")
     else:
         if abs(out.completion - max_service) > EPS:

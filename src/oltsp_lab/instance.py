@@ -151,10 +151,18 @@ def encode(inst: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _require(obj: dict, field_name: str, where: str = ""):
+def _require(obj, field_name: str, where: str = ""):
+    if not isinstance(obj, dict):
+        raise FormatError(f"bad {where or 'document'}: expected object, got {obj!r}")
     if field_name not in obj:
         raise FormatError(f"missing field: {field_name}" + (f" in {where}" if where else ""))
     return obj[field_name]
+
+
+def _array(raw, what: str) -> list:
+    if not isinstance(raw, list):
+        raise FormatError(f"bad {what}: expected array, got {raw!r}")
+    return raw
 
 
 def _integer(raw, what: str) -> int:
@@ -185,8 +193,6 @@ def decode(text: str) -> Instance:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"malformed document at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise FormatError("top level must be an object")
     raw_space = _require(doc, "space")
     kind = _require(raw_space, "kind", "space")
     if kind == "semiline":
@@ -198,8 +204,8 @@ def decode(text: str) -> Instance:
     elif kind == "star":
         space = Star(_integer(_require(raw_space, "rayCount", "space"), "rayCount"))
     elif kind == "general":
-        rows = [[_number(x, "matrix entry") for x in row]
-                for row in _require(raw_space, "matrix", "space")]
+        matrix = _array(_require(raw_space, "matrix", "space"), "matrix")
+        rows = [[_number(x, "matrix entry") for x in _array(row, "matrix row")] for row in matrix]
         symmetric = _require(raw_space, "symmetric", "space")
         if not isinstance(symmetric, bool):
             raise FormatError(f"bad symmetric: expected true or false, got {symmetric!r}")
@@ -213,7 +219,7 @@ def decode(text: str) -> Instance:
     if knowledge not in (LOCATIONS_KNOWN, COUNT_KNOWN):
         raise FormatError(f"bad knowledge {knowledge!r}")
     reqs = []
-    for i, raw in enumerate(_require(doc, "requests")):
+    for i, raw in enumerate(_array(_require(doc, "requests"), "requests")):
         where = f"requests[{i}]"
         reqs.append(
             Request(

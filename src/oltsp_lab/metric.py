@@ -3,6 +3,8 @@
 Every space exposes the same small surface: an origin, a distance, shortest-path
 interpolation (``travel``), and a ``plan_move`` primitive that the simulation
 engine uses to walk a shortest path and detect the requests it passes over.
+``distance`` checks both points; ``unchecked_distance`` is the same formula
+without the checks, for points checked once where they entered the program.
 
 Point representations are deliberately plain:
 
@@ -87,8 +89,17 @@ class MetricSpace:
     def contains(self, p: Point) -> bool:
         raise NotImplementedError
 
-    def distance(self, a: Point, b: Point) -> float:
+    def unchecked_distance(self, a: Point, b: Point) -> float:
+        """``distance`` without the domain checks, for points already checked."""
         raise NotImplementedError
+
+    def distance(self, a: Point, b: Point) -> float:
+        """``unchecked_distance`` after checking both points.  Each space class
+        names this method in its own body, where a per-class wrapper can
+        replace it."""
+        self.check_point(a)
+        self.check_point(b)
+        return self.unchecked_distance(a, b)
 
     def plan_move(self, a: Point, b: Point) -> MovePlan:
         raise NotImplementedError
@@ -101,11 +112,12 @@ class MetricSpace:
 
     def travel(self, a: Point, b: Point, elapsed: float) -> Point:
         """Position after moving ``elapsed`` along a shortest path a -> b."""
-        self._check_point(a)
-        self._check_point(b)
+        self.check_point(a)
+        self.check_point(b)
         return self.plan_move(a, b).point_at(elapsed)
 
-    def _check_point(self, p: Point) -> None:
+    def check_point(self, p: Point) -> None:
+        """Raise :class:`MetricError` when ``p`` is outside the domain."""
         if not self.contains(p):
             raise MetricError(f"point {p!r} outside {self.kind} domain")
 
@@ -119,25 +131,6 @@ def _line_coord(p: Point) -> Optional[float]:
 
 
 @dataclass(frozen=True)
-class SemiLine(MetricSpace):
-    kind = "semiline"
-
-    def origin(self) -> float:
-        return 0.0
-
-    def contains(self, p: Point) -> bool:
-        return isinstance(p, (int, float)) and not isinstance(p, bool) and p >= -EPS
-
-    def distance(self, a: float, b: float) -> float:
-        self._check_point(a)
-        self._check_point(b)
-        return abs(a - b)
-
-    def plan_move(self, a: float, b: float) -> MovePlan:
-        return MovePlan([(a, b, _line_point, _line_coord)])
-
-
-@dataclass(frozen=True)
 class Line(MetricSpace):
     kind = "line"
 
@@ -147,13 +140,25 @@ class Line(MetricSpace):
     def contains(self, p: Point) -> bool:
         return isinstance(p, (int, float)) and not isinstance(p, bool) and math.isfinite(p)
 
-    def distance(self, a: float, b: float) -> float:
-        self._check_point(a)
-        self._check_point(b)
+    def unchecked_distance(self, a: float, b: float) -> float:
         return abs(a - b)
+
+    distance = MetricSpace.distance
 
     def plan_move(self, a: float, b: float) -> MovePlan:
         return MovePlan([(a, b, _line_point, _line_coord)])
+
+
+@dataclass(frozen=True)
+class SemiLine(Line):
+    """The line's half at coordinates >= 0."""
+
+    kind = "semiline"
+
+    def contains(self, p: Point) -> bool:
+        return isinstance(p, (int, float)) and not isinstance(p, bool) and p >= -EPS
+
+    distance, plan_move = Line.distance, Line.plan_move
 
 
 @dataclass(frozen=True)
@@ -172,11 +177,11 @@ class Ring(MetricSpace):
     def contains(self, p: Point) -> bool:
         return isinstance(p, (int, float)) and not isinstance(p, bool) and math.isfinite(p)
 
-    def distance(self, a: float, b: float) -> float:
-        self._check_point(a)
-        self._check_point(b)
+    def unchecked_distance(self, a: float, b: float) -> float:
         delta = abs(self.norm(a) - self.norm(b))
         return min(delta, self.circumference - delta)
+
+    distance = MetricSpace.distance
 
     def plan_move(self, a: float, b: float) -> MovePlan:
         c = self.circumference
@@ -234,11 +239,11 @@ class Star(MetricSpace):
             and depth >= -EPS
         )
 
-    def distance(self, a, b) -> float:
-        self._check_point(a)
-        self._check_point(b)
+    def unchecked_distance(self, a, b) -> float:
         (ra, da), (rb, db) = a, b
         return abs(da - db) if ra == rb else da + db
+
+    distance = MetricSpace.distance
 
     def plan_move(self, a, b) -> MovePlan:
         (ra, da), (rb, db) = a, b
@@ -307,9 +312,7 @@ class General(MetricSpace):
             return -EPS <= p.traveled <= self.matrix[p.a][p.b] + EPS
         return False
 
-    def distance(self, a: Point, b: Point) -> float:
-        self._check_point(a)
-        self._check_point(b)
+    def unchecked_distance(self, a: Point, b: Point) -> float:
         if isinstance(a, int) and isinstance(b, int):
             return self.matrix[a][b]
         if isinstance(a, EdgePoint) and isinstance(b, int):
@@ -327,6 +330,8 @@ class General(MetricSpace):
             )
         raise MetricError(f"unsupported point pair {a!r}, {b!r}")
 
+    distance = MetricSpace.distance
+
     def plan_move(self, a: Point, b: Point) -> MovePlan:
         if isinstance(a, int) and isinstance(b, int):
             return MovePlan([self._edge_leg(a, b, 0.0, self.matrix[a][b])])
@@ -334,8 +339,8 @@ class General(MetricSpace):
             if isinstance(b, EdgePoint) and (a.a, a.b) == (b.a, b.b):
                 return MovePlan([self._edge_leg(a.a, a.b, a.traveled, b.traveled)])
             edge_len = self.matrix[a.a][a.b]
-            back = a.traveled + self.distance(a.a, b)
-            ahead = (edge_len - a.traveled) + self.distance(a.b, b)
+            back = a.traveled + self.unchecked_distance(a.a, b)
+            ahead = (edge_len - a.traveled) + self.unchecked_distance(a.b, b)
             if ahead <= back:
                 first, node = self._edge_leg(a.a, a.b, a.traveled, edge_len), a.b
             else:
@@ -394,11 +399,14 @@ class General(MetricSpace):
 
 def distance_table(space: MetricSpace, points: Sequence[Point]):
     """Distances from the origin to each point, from each point back to the
-    origin, and between every ordered pair of points, as nested lists."""
-    o = space.origin()
-    d0 = [space.distance(o, p) for p in points]
-    dret = [space.distance(p, o) for p in points]
-    dmat = [[space.distance(a, b) for b in points] for a in points]
+    origin, and between every ordered pair of points, as nested lists.  Each
+    point is checked once; the table is filled without further checks."""
+    for p in points:
+        space.check_point(p)
+    o, dist = space.origin(), space.unchecked_distance
+    d0 = [dist(o, p) for p in points]
+    dret = [dist(p, o) for p in points]
+    dmat = [[dist(a, b) for b in points] for a in points]
     return d0, dret, dmat
 
 

@@ -162,7 +162,7 @@ def test_wrong_space_pairing_rejected_before_simulation(ex1_file, capsys):
     assert "ring" in err
 
 
-def test_usage_error_exit_code(capsys):
+def test_usage_error_exit_code(tmp_path, capsys):
     assert run_cli(["simulate"]) == 2
     capsys.readouterr()
     assert run_cli(["no-such-command"]) == 2
@@ -183,6 +183,19 @@ def test_usage_error_exit_code(capsys):
                         "--policy", f"alg3-star:{mode}", "--count", "1",
                         "--seed", "0"]) == 2
         capsys.readouterr()
+    # a document of the wrong shape is a format error, not a crash
+    docs = [
+        {"space": {"kind": "general", "matrix": [[0, 1], 5], "symmetric": True}},
+        {"space": {"kind": "semiline"}, "requests": [5]},
+        {"space": 7},
+    ]
+    path = tmp_path / "bad.json"
+    for doc in docs:
+        path.write_text(json.dumps({"variant": "closed", "knowledge": "locations",
+                                    "requests": [], **doc}))
+        for argv in (["oracle"], ["simulate", "--policy", "greedy"]):
+            assert run_cli(argv + ["--instance", str(path)]) == 2
+            assert "bad " in capsys.readouterr().err
 
 
 def test_report_empty_rows():

@@ -8,6 +8,7 @@ from oltsp_lab import (
     Instance,
     MoveTo,
     Outcome,
+    Request,
     SimulationError,
     Trajectory,
     WaitForRelease,
@@ -17,9 +18,11 @@ from oltsp_lab import (
     verify_outcome,
 )
 from oltsp_lab.algorithms import Alg1General, Greedy, make_policy
-from oltsp_lab.engine import Policy, Waypoint
+from oltsp_lab.engine import Adversary, Policy, Waypoint
 from oltsp_lab.cli import run_cli
-from oltsp_lab.metric import EPS, SPACE_KINDS, EdgePoint, General, Line, Ring, SemiLine
+from oltsp_lab.metric import (
+    EPS, SPACE_KINDS, EdgePoint, General, Line, MetricError, Ring, SemiLine,
+)
 
 
 def test_reference_run_alg1(example1):
@@ -152,6 +155,50 @@ def test_invalid_move_target_rejected():
     inst = make_instance(SemiLine(), OPEN, [(1.0, 0.0)])
     with pytest.raises(SimulationError, match="outside"):
         simulate(inst, _Escapist())
+
+
+class _BeginWatcher(Policy):
+    """Records whether the engine called ``begin``."""
+
+    name = "begin-watcher"
+    begun = False
+
+    def begin(self, ctx):
+        self.begun = True
+
+    def decide(self, obs):
+        return WaitForRelease(None)
+
+
+class _OffSpaceAnnouncer(Adversary):
+    """Announces a semi-line request at -1, outside the semi-line."""
+
+    name = "off-space-announcer"
+    space, variant, n, knowledge = SemiLine(), OPEN, 1, "locations"
+
+    def announced(self):
+        return {1: -1.0}
+
+
+@pytest.mark.parametrize("scenario", [
+    Instance(SemiLine(), OPEN, (Request(1, -1.0, 0.0),)),
+    _OffSpaceAnnouncer(),
+], ids=["instance", "adversary"])
+def test_out_of_domain_point_refused_at_simulate_entry(scenario):
+    policy = _BeginWatcher()
+    with pytest.raises(MetricError, match="outside semiline domain"):
+        simulate(scenario, policy)
+    assert not policy.begun
+
+
+def test_verify_refuses_out_of_domain_waypoint():
+    inst = make_instance(SemiLine(), OPEN, [(1.0, 0.0)])
+    traj = Trajectory(inst.space, (
+        Waypoint(0.0, 0.0, "start"),
+        Waypoint(1.0, -1.0, "move"),
+    ))
+    with pytest.raises(MetricError, match="outside semiline domain"):
+        verify_outcome(inst, Outcome(1.0, {}, traj, inst.requests, OPEN))
 
 
 class _Loiterer(Policy):

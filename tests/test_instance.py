@@ -98,13 +98,16 @@ STRICT_BASES = {
     ("general", "request", "point", 1.0),
     ("general", "space", "matrix", [[0, "1"], [1, 0]]),
     ("general", "space", "symmetric", "false"),
+    ("general", "space", "matrix", [[0, 1], 5]),
+    ("star", "document", "requests", [5]),
+    ("star", "document", "space", 7),
 ])
 def test_decode_rejects_wrong_json_types(kind, where, field, value):
     space, point = STRICT_BASES[kind]
     doc = {"space": dict(space), "variant": "closed", "knowledge": "locations",
            "requests": [{"id": 1, "point": point, "release": 1.0}]}
     assert decode(json.dumps(doc)).n == 1
-    (doc["space"] if where == "space" else doc["requests"][0])[field] = value
+    {"space": doc["space"], "request": doc["requests"][0], "document": doc}[where][field] = value
     with pytest.raises(FormatError, match="bad"):
         decode(json.dumps(doc))
 

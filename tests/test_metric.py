@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oltsp_lab.metric import (
@@ -210,3 +210,23 @@ def test_move_plan_contract(move, frac):
     if space.kind != "general":
         f = frac * plan.total
         assert plan.hit(plan.point_at(f)) == pytest.approx(f, abs=PLAN_TOL)
+
+
+_SYMMETRIC = General.from_rows([[0, 3, 2], [3, 0, 4], [2, 4, 0]])
+_ASYMMETRIC = General.from_rows([[0, 1.5, 2], [1, 0, 1.25], [1.75, 2, 0]], symmetric=False)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_moves())
+@example((Ring(1.0), -0.05, 0.97))  # wrap-around on both sides of the origin
+@example((Ring(2.5), 4.9, 0.1))
+@example((Star(4), (1, 0.0), (3, 0.0)))  # the hub, named from two rays
+@example((Star(4), (2, 0.0), (0, 0.75)))
+@example((_SYMMETRIC, EdgePoint(1, 2, 1.5), EdgePoint(2, 1, 0.5)))
+@example((_SYMMETRIC, EdgePoint(0, 1, 0.5), EdgePoint(0, 1, 2.25)))
+@example((_ASYMMETRIC, EdgePoint(0, 2, 0.5), EdgePoint(2, 1, 1.0)))
+@example((_ASYMMETRIC, EdgePoint(1, 2, 0.75), 0))
+def test_unchecked_distance_is_distance_bit_for_bit(move):
+    space, a, b = move
+    for p, q in ((a, b), (b, a), (a, a)):
+        assert space.unchecked_distance(p, q).hex() == space.distance(p, q).hex()
