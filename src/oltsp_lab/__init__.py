@@ -27,25 +27,18 @@ from .engine import (
     MoveTo,
     Observation,
     Outcome,
+    PairingError,
     Policy,
     SimulationError,
     Trajectory,
     WaitForRelease,
     WaitUntil,
-    pairing_error,
+    check_pairing,
     simulate,
     verify_outcome,
 )
 from .oracle import OptResult, opt_bruteforce, opt_makespan
-from .algorithms import (
-    KnapsackItem,
-    RaySummary,
-    TourStats,
-    alpha,
-    knapsack_select,
-    make_policy,
-    tour_stats,
-)
+from .algorithms import KnapsackItem, RaySummary, knapsack_select, make_policy
 from .adversaries import AdversaryRun, make_adversary, run_adversary
 
 __all__ = [name for name in dir() if not name.startswith("_")]

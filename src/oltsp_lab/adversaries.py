@@ -20,7 +20,16 @@ from .engine import (
     competitive_ratio,
     simulate,
 )
-from .instance import CLOSED, COUNT_KNOWN, LOCATIONS_KNOWN, MAX_REQUESTS, OPEN, Instance, Request
+from .instance import (
+    CLOSED,
+    COUNT_KNOWN,
+    LOCATIONS_KNOWN,
+    MAX_REQUESTS,
+    OPEN,
+    Instance,
+    Request,
+    position_key,
+)
 from .metric import EPS, Point, Ring, SemiLine, Star
 from .oracle import opt_makespan
 
@@ -48,10 +57,9 @@ def materialize(adversary: Adversary, out: Outcome) -> Instance:
     """The realized releases as a fixed instance (position-sorted where the
     instance format requires it)."""
     reqs = list(out.realized)
-    if adversary.space.kind == "ring":
-        reqs.sort(key=lambda r: adversary.space.norm(r.point))
-    elif adversary.space.kind == "semiline":
-        reqs.sort(key=lambda r: r.point)
+    key = position_key(adversary.space)
+    if key is not None:
+        reqs.sort(key=key)
     reqs = [Request(i + 1, r.point, r.release) for i, r in enumerate(reqs)]
     return Instance(
         space=adversary.space,
@@ -285,16 +293,6 @@ class SemilineCountAdversary(Adversary):
         self.fired = True
         target = 0.0 if position >= self.threshold - EPS else 1.0
         return [Emission(1.0, point=target)]
-
-
-ADVERSARY_NAMES = (
-    "ring-open",
-    "ring-closed-count:EPSILON",
-    "star-count:EPSILON",
-    "semiline-open-loc",
-    "semiline-closed-count",
-    "semiline-open-count",
-)
 
 
 def make_adversary(name: str, epsilon: Optional[float] = None) -> Adversary:

@@ -34,41 +34,6 @@ ALG1_CAP = 9
 EXACT_KNAPSACK_CAP = 20
 
 
-# Tour bookkeeping -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TourStats:
-    """Per-order quantities: total length and distance traveled to each stop."""
-
-    order: Tuple[int, ...]
-    length: float
-    prefix: Tuple[float, ...]  # prefix[j]: distance when reaching order[j]
-
-
-def tour_stats(space, variant: str, points: Dict[int, Point], order: Sequence[int]) -> TourStats:
-    o = space.origin()
-    prefix = []
-    total = 0.0
-    prev = o
-    for rid in order:
-        total += space.unchecked_distance(prev, points[rid])
-        prefix.append(total)
-        prev = points[rid]
-    if variant == CLOSED and order:
-        total += space.unchecked_distance(prev, o)
-    return TourStats(tuple(order), total, tuple(prefix))
-
-
-def alpha(stats: TourStats, released_ids) -> float:
-    """Released fraction of the tour, counting the leg into the first
-    unreleased stop; 1 when everything is released."""
-    for j, rid in enumerate(stats.order):
-        if rid not in released_ids:
-            return stats.prefix[j] / stats.length if stats.length > 0 else 1.0
-    return 1.0
-
-
 # Moves shared by the policies ---------------------------------------------------
 
 
@@ -116,6 +81,10 @@ class Route(Policy):
     the run drops it."""
 
     steps: List[tuple]
+
+    def begin(self, ctx: PolicyContext) -> None:
+        self.ctx = ctx
+        self.points = dict(ctx.locations or {})
 
     def decide(self, obs: Observation) -> Action:
         steps = self.steps
@@ -249,8 +218,7 @@ class Alg1General(Route):
         n = ctx.n
         if n > ALG1_CAP:
             raise SimulationError(f"alg1 handles at most {ALG1_CAP} requests, got {n}")
-        self.ctx = ctx
-        self.points = dict(ctx.locations or {})
+        super().begin(ctx)
         if n == 0:
             return
         pts = [self.points[i + 1] for i in range(n)]
@@ -510,8 +478,7 @@ class Alg3Star(Route):
         self.summaries: List[RaySummary] = []
 
     def begin(self, ctx: PolicyContext) -> None:
-        self.ctx = ctx
-        self.points = dict(ctx.locations or {})
+        super().begin(ctx)
         k = ctx.space.ray_count
         self.ray_len = [s.length for s in ray_summaries(self.points, k, ())]
         self.total = sum(self.ray_len)
@@ -577,8 +544,7 @@ class _SemilineRoute(Route):
     requires_kind = "semiline"
 
     def begin(self, ctx: PolicyContext) -> None:
-        self.ctx = ctx
-        self.points = dict(ctx.locations or {})
+        super().begin(ctx)
         self.limit = max(self.points.values(), default=0.0)
 
     def _out(self, obs: Observation) -> Optional[Action]:
@@ -766,16 +732,3 @@ def make_policy(name: str) -> Policy:
     if base == "greedy":
         return Greedy()
     raise ValueError(f"unknown policy {name!r}")
-
-
-POLICY_NAMES = (
-    "alg1",
-    "alg2-ring",
-    "alg3-star",
-    "alg3-star:exact",
-    "alg3-star:fptas=EPS",
-    "alg4-semiline",
-    "alg5-semiline",
-    "wait-all",
-    "greedy",
-)

@@ -15,11 +15,12 @@ from . import adversaries as adv_mod
 from . import algorithms as alg_mod
 from .engine import (
     Outcome,
+    PairingError,
     SimulationError,
     check_completion,
+    check_pairing,
     competitive_ratio,
     outcome_to_text,
-    pairing_error,
     simulate,
     verify_outcome,
 )
@@ -68,15 +69,15 @@ def report(rows: Sequence[BatchRow], fmt: str, bound: Optional[float],
                 {
                     "id": r.seed,
                     "policy": r.policy,
-                    "alg": float(_num(r.alg)),
-                    "opt": float(_num(r.opt)),
-                    "ratio": float(_num(r.ratio)),
+                    "alg": r.alg,
+                    "opt": r.opt,
+                    "ratio": r.ratio,
                 }
                 for r in rows
             ],
             "summary": {
-                "max_ratio": float(_num(max_ratio)),
-                "mean_ratio": float(_num(mean_ratio)),
+                "max_ratio": max_ratio,
+                "mean_ratio": mean_ratio,
                 "bound": bound,
                 "pass": passed,
             },
@@ -123,12 +124,7 @@ def _cmd_simulate(args) -> int:
     inst = _read_instance(args.instance)
     if inst is None:
         return BOUND_ERROR
-    policy = alg_mod.make_policy(args.policy)
-    msg = pairing_error(policy, inst.space.kind, inst.variant, inst.knowledge)
-    if msg:
-        print(msg, file=sys.stderr)
-        return USAGE_ERROR
-    out = simulate(inst, policy)
+    out = simulate(inst, alg_mod.make_policy(args.policy))
     if not _feasible(inst, out):
         return BOUND_ERROR
     line = f"completion {_num(out.completion)}"
@@ -171,9 +167,9 @@ def _space_args(args) -> dict:
     """Generator space parameters of ``args.kind`` from the space options."""
     return {
         "ring": {"circumference": args.circumference, "non_line_like": args.non_line_like},
-        "star": {"ray_count": args.rays, "depth_max": args.length},
+        "star": {"ray_count": args.rays, "length": args.length},
         "semiline": {"length": args.length},
-        "line": {"half_width": args.length},
+        "line": {"length": args.length},
         "general": {"asymmetric": args.asymmetric},
     }[args.kind]
 
@@ -197,10 +193,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_batch(args) -> int:
     knowledge = COUNT_KNOWN if args.count_known else LOCATIONS_KNOWN
-    msg = pairing_error(alg_mod.make_policy(args.policy), args.kind, args.variant, knowledge)
-    if msg:
-        print(msg, file=sys.stderr)
-        return USAGE_ERROR
+    # Refused before any instance is drawn, even when --count is 0.
+    check_pairing(alg_mod.make_policy(args.policy), args.kind, args.variant, knowledge)
     rows: List[BatchRow] = []
     for i in range(args.count):
         seed = args.seed + i
@@ -237,12 +231,7 @@ def _cmd_batch(args) -> int:
 
 def _cmd_adversary(args) -> int:
     adversary = adv_mod.make_adversary(args.name, args.epsilon)
-    policy = alg_mod.make_policy(args.policy)
-    msg = pairing_error(policy, adversary.space.kind, adversary.variant, adversary.knowledge)
-    if msg:
-        print(msg, file=sys.stderr)
-        return USAGE_ERROR
-    run = adv_mod.run_adversary(adversary, policy)
+    run = adv_mod.run_adversary(adversary, alg_mod.make_policy(args.policy))
     # Checked against the realized releases under the engine's ids, which
     # ``run.materialized`` renumbers by position.
     realized = Instance(adversary.space, adversary.variant, run.outcome.realized)
@@ -321,7 +310,7 @@ def run_cli(argv: Sequence[str]) -> int:
         return args.func(args)
     except (ValueError, SimulationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, SimulationError):
+        if isinstance(exc, SimulationError) and not isinstance(exc, PairingError):
             return BOUND_ERROR
         return USAGE_ERROR
 

@@ -19,12 +19,16 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
-from .instance import CLOSED, COUNT_KNOWN, Instance, LOCATIONS_KNOWN, Request
-from .metric import EPS, MetricSpace, Point
+from .instance import CLOSED, COUNT_KNOWN, LOCATIONS_KNOWN, Instance, Request, _num, _point_text
+from .metric import EPS, EdgePoint, MetricSpace, Point
 
 
 class SimulationError(RuntimeError):
     pass
+
+
+class PairingError(SimulationError):
+    """A policy cannot run on the scenario's space kind, variant or knowledge."""
 
 
 # Actions --------------------------------------------------------------------
@@ -56,8 +60,7 @@ class PolicyContext:
     space: MetricSpace
     variant: str
     n: int
-    knowledge: str
-    locations: Optional[Dict[int, Point]]  # id -> point when locations are known
+    locations: Optional[Dict[int, Point]]  # id -> point when locations are known, else None
 
 
 @dataclass(frozen=True)
@@ -119,22 +122,18 @@ class Adversary:
 Scenario = Union[Instance, Adversary]
 
 
-def pairing_error(policy: Policy, kind: str, variant: str, knowledge: str) -> Optional[str]:
-    """Why ``policy`` cannot run on a scenario of this space kind, variant and
-    knowledge model, or None when it can."""
+def check_pairing(policy: Policy, kind: str, variant: str, knowledge: str) -> None:
+    """Raise :class:`PairingError` when ``policy`` cannot run on a scenario of
+    this space kind, variant and knowledge model."""
     if policy.requires_kind and policy.requires_kind != kind:
-        return f"policy {policy.name!r} requires a {policy.requires_kind} space, got {kind}"
-    if policy.requires_variant and policy.requires_variant != variant:
-        return (
-            f"policy {policy.name!r} requires the {policy.requires_variant} variant, "
-            f"got {variant}"
-        )
-    if policy.needs_locations and knowledge == COUNT_KNOWN:
-        return (
-            f"policy {policy.name!r} needs known locations but the scenario "
-            "reveals only the request count"
-        )
-    return None
+        why = f"requires a {policy.requires_kind} space, got {kind}"
+    elif policy.requires_variant and policy.requires_variant != variant:
+        why = f"requires the {policy.requires_variant} variant, got {variant}"
+    elif policy.needs_locations and knowledge == COUNT_KNOWN:
+        why = "needs known locations but the scenario reveals only the request count"
+    else:
+        return
+    raise PairingError(f"policy {policy.name!r} {why}")
 
 
 # Trajectories and outcomes ----------------------------------------------------
@@ -176,7 +175,6 @@ class Outcome:
     services: Dict[int, float]
     trajectory: Trajectory
     realized: Tuple[Request, ...]  # requests with the release times that occurred
-    variant: str
 
 
 # Simulation -------------------------------------------------------------------
@@ -186,9 +184,7 @@ def simulate(scenario: Scenario, policy: Policy, step_budget: int = 1_000_000) -
     space = scenario.space
     variant = scenario.variant
     knowledge = scenario.knowledge
-    refusal = pairing_error(policy, space.kind, variant, knowledge)
-    if refusal:
-        raise SimulationError(refusal)
+    check_pairing(policy, space.kind, variant, knowledge)
 
     adversary: Optional[Adversary] = None
     points: Dict[int, Point] = {}
@@ -209,7 +205,7 @@ def simulate(scenario: Scenario, policy: Policy, step_budget: int = 1_000_000) -
         space.check_point(p)
 
     locations = dict(points) if knowledge == LOCATIONS_KNOWN else None
-    ctx = PolicyContext(space, variant, n_total, knowledge, locations)
+    ctx = PolicyContext(space, variant, n_total, locations)
 
     now = 0.0
     origin, dist = space.origin(), space.unchecked_distance
@@ -346,7 +342,6 @@ def simulate(scenario: Scenario, policy: Policy, step_budget: int = 1_000_000) -
         services=dict(served),
         trajectory=Trajectory(space, tuple(waypoints)),
         realized=realized,
-        variant=variant,
     )
 
 
@@ -429,8 +424,6 @@ def competitive_ratio(completion: float, opt: float) -> float:
 
 def outcome_to_text(out: Outcome, space: MetricSpace) -> str:
     """Structured-text export: completion, services, waypoint triplets."""
-    from .instance import _num, _point_text  # same numeric conventions
-
     lines = ["{"]
     lines.append(f'  "completion": {_num(out.completion)},')
     svc = ", ".join(f'"{rid}": {_num(t)}' for rid, t in sorted(out.services.items()))
@@ -449,8 +442,6 @@ def outcome_to_text(out: Outcome, space: MetricSpace) -> str:
 
 def _export_point(space: MetricSpace, p: Point):
     # Mid-edge points on general spaces round to the nearer endpoint for export.
-    from .metric import EdgePoint
-
     if isinstance(p, EdgePoint):
         half = space.matrix[p.a][p.b] / 2.0
         return p.a if p.traveled <= half else p.b

@@ -48,9 +48,6 @@ class Instance:
     def n(self) -> int:
         return len(self.requests)
 
-    def request(self, rid: int) -> Request:
-        return self.requests[rid - 1]
-
 
 @dataclass(frozen=True)
 class GenParams:
@@ -58,6 +55,16 @@ class GenParams:
     seed: int
     release_horizon: float = 1.0
     space_params: dict = field(default_factory=dict)
+
+
+def position_key(space: MetricSpace):
+    """Sort key of a request by position on spaces whose instances list their
+    requests in position order (ring and semi-line), or None elsewhere."""
+    if space.kind == "ring":
+        return lambda r: space.norm(r.point)
+    if space.kind == "semiline":
+        return lambda r: r.point
+    return None
 
 
 def validate_instance(inst: Instance) -> list:
@@ -74,12 +81,8 @@ def validate_instance(inst: Instance) -> list:
             issues.append(f"request {req.id} has negative release {req.release}")
         if not inst.space.contains(req.point):
             issues.append(f"request {req.id} point {req.point!r} outside space domain")
-    if inst.space.kind in ("ring", "semiline") and not issues:
-        key = (
-            (lambda r: inst.space.norm(r.point))
-            if inst.space.kind == "ring"
-            else (lambda r: r.point)
-        )
+    key = position_key(inst.space)
+    if key is not None and not issues:
         for a, b in zip(inst.requests, inst.requests[1:]):
             if key(a) > key(b) + EPS:
                 issues.append(f"requests out of position order: ids ({a.id},{b.id})")
@@ -236,7 +239,10 @@ def decode(text: str) -> Instance:
 
 def generate_random(params: GenParams, kind: str, variant: str = CLOSED,
                     knowledge: str = LOCATIONS_KNOWN) -> Instance:
-    """Deterministic instance for (seed, params); positions uniform in the domain."""
+    """Deterministic instance for (seed, params); positions uniform in the domain.
+    Semi-line and line points lie within ``length`` of the origin, star points
+    within ``length`` of the hub.  Raises ValueError on a negative length or an
+    invalid space before drawing anything."""
     if params.n < 0:
         raise ValueError("n must be >= 0")
     if params.n > MAX_REQUESTS:
@@ -246,18 +252,19 @@ def generate_random(params: GenParams, kind: str, variant: str = CLOSED,
     rng = random.Random(params.seed)
     sp = params.space_params
     n = params.n
+    length = float(sp.get("length", 1.0))
+    if not length >= 0:
+        raise ValueError(f"length must be >= 0, got {length}")
 
     if kind == "semiline":
-        length = float(sp.get("length", 1.0))
         space: MetricSpace = SemiLine()
         pts = sorted(rng.uniform(0.0, length) for _ in range(n))
     elif kind == "line":
-        half = float(sp.get("half_width", 1.0))
         space = Line()
-        pts = sorted(rng.uniform(-half, half) for _ in range(n))
+        pts = sorted(rng.uniform(-length, length) for _ in range(n))
     elif kind == "ring":
         c = float(sp.get("circumference", 1.0))
-        space = Ring(c)
+        space = _valid(Ring(c))
         if sp.get("non_line_like") and n < 2:
             # One point p leaves a gap max(p, c - p) >= c/2 with the origin.
             raise ValueError(f"a non-line-like ring instance needs n >= 2, got n={n}")
@@ -267,10 +274,9 @@ def generate_random(params: GenParams, kind: str, variant: str = CLOSED,
                 break
     elif kind == "star":
         k = int(sp.get("ray_count", 5))
-        depth = float(sp.get("depth_max", 1.0))
-        space = Star(k)
+        space = _valid(Star(k))
         pts = sorted(
-            ((rng.randrange(k), rng.uniform(0.0, depth)) for _ in range(n)),
+            ((rng.randrange(k), rng.uniform(0.0, length)) for _ in range(n)),
         )
     elif kind == "general":
         space, order = _random_general(rng, n, bool(sp.get("asymmetric")))
@@ -283,6 +289,14 @@ def generate_random(params: GenParams, kind: str, variant: str = CLOSED,
         Request(id=i + 1, point=pts[i], release=releases[i]) for i in range(n)
     )
     return Instance(space=space, variant=variant, requests=requests, knowledge=knowledge)
+
+
+def _valid(space: MetricSpace) -> MetricSpace:
+    """``space``, or ValueError with its ``validate()`` issues."""
+    issues = space.validate()
+    if issues:
+        raise ValueError("; ".join(issues))
+    return space
 
 
 def _random_general(rng: random.Random, n: int, asymmetric: bool):

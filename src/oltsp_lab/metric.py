@@ -1,8 +1,8 @@
 """Metric spaces for a unit-speed server: semi-line, line, ring, star, general.
 
-Every space exposes the same small surface: an origin, a distance, shortest-path
-interpolation (``travel``), and a ``plan_move`` primitive that the simulation
-engine uses to walk a shortest path and detect the requests it passes over.
+Every space exposes the same small surface: an origin, a distance, and a
+``plan_move`` primitive that the simulation engine uses to walk a shortest path
+and detect the requests it passes over.
 ``distance`` checks both points; ``unchecked_distance`` is the same formula
 without the checks, for points checked once where they entered the program.
 
@@ -27,7 +27,7 @@ Point = Any
 
 
 class MetricError(ValueError):
-    """Raised for points outside a space's domain or invalid travel arguments."""
+    """Raised for points outside a space's domain or offsets outside a move."""
 
 
 @dataclass(frozen=True)
@@ -107,14 +107,6 @@ class MetricSpace:
     def validate(self) -> list:
         """Empty list when the space's structural invariants hold."""
         return []
-
-    # Shared helpers -------------------------------------------------------
-
-    def travel(self, a: Point, b: Point, elapsed: float) -> Point:
-        """Position after moving ``elapsed`` along a shortest path a -> b."""
-        self.check_point(a)
-        self.check_point(b)
-        return self.plan_move(a, b).point_at(elapsed)
 
     def check_point(self, p: Point) -> None:
         """Raise :class:`MetricError` when ``p`` is outside the domain."""

@@ -23,9 +23,7 @@ from oltsp_lab.algorithms import (
     Alg2Ring,
     Alg3Star,
     Route,
-    alpha,
     make_policy,
-    tour_stats,
 )
 from oltsp_lab.engine import SimulationError, WaitForRelease, WaitUntil
 from oltsp_lab.metric import EPS, General, Ring, SemiLine, Star, distance_table
@@ -33,46 +31,6 @@ from oltsp_lab.metric import EPS, General, Ring, SemiLine, Star, distance_table
 
 def ratio_ok(completion, opt, bound, slack=1e-9):
     return completion <= bound * opt + slack
-
-
-# Tour statistics ---------------------------------------------------------------
-
-
-def test_tour_lengths_reference(example1):
-    pts = {r.id: r.point for r in example1.requests}
-    space = example1.space
-    assert tour_stats(space, CLOSED, pts, [1, 2, 3]).length == 12
-    assert tour_stats(space, CLOSED, pts, [2, 1, 3]).length == 9
-    assert tour_stats(space, OPEN, pts, [1, 2, 3]).length == 9
-
-
-def test_alpha_reference(example1):
-    pts = {r.id: r.point for r in example1.requests}
-    st = tour_stats(example1.space, CLOSED, pts, [1, 2, 3])
-    assert alpha(st, set()) == pytest.approx(0.25)
-    assert alpha(st, {1}) == pytest.approx(0.5)
-    assert alpha(st, {1, 2}) == pytest.approx(0.75)
-    assert alpha(st, {1, 2, 3}) == 1.0
-
-
-def test_alpha_monotone_in_release_set(example1):
-    pts = {r.id: r.point for r in example1.requests}
-    for order in [[1, 2, 3], [2, 1, 3], [3, 2, 1]]:
-        st = tour_stats(example1.space, CLOSED, pts, order)
-        seen = set()
-        last = alpha(st, seen)
-        for rid in [3, 1, 2]:
-            seen.add(rid)
-            cur = alpha(st, seen)
-            assert cur >= last - 1e-12
-            last = cur
-
-
-def test_prefix_distances_nondecreasing(example1):
-    pts = {r.id: r.point for r in example1.requests}
-    st = tour_stats(example1.space, CLOSED, pts, [2, 3, 1])
-    assert list(st.prefix) == sorted(st.prefix)
-    assert st.prefix[-1] <= st.length + 1e-12
 
 
 # Algorithm 1 ---------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from oltsp_lab import cli, decode, encode
 from oltsp_lab.cli import BatchRow, report, run_cli
+from oltsp_lab.engine import PairingError, SimulationError
 
 
 @pytest.fixture
@@ -89,16 +90,28 @@ def test_batch_bound_violation_exit_code(capsys):
 
 
 def test_batch_json_format(capsys):
-    code = run_cli([
+    argv = [
         "batch", "--kind", "star", "--variant", "closed",
         "--policy", "alg3-star:fptas=0.1", "--count", "5", "--seed", "2",
-        "--bound", "1.85", "--format", "json", "--n", "6",
-    ])
+        "--bound", "1.85", "--n", "6",
+    ]
+    code = run_cli(argv + ["--format", "json"])
     out = capsys.readouterr().out
     assert code == 0
     doc = json.loads(out)
     assert len(doc["rows"]) == 5
     assert doc["summary"]["pass"] is True
+    # the JSON numbers are the CSV report's numbers of the same batch
+    assert run_cli(argv + ["--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    csv_rows = [line.split(",") for line in lines if not line.startswith(("#", "id,"))]
+    assert [[r["id"], r["policy"], r["alg"], r["opt"], r["ratio"]] for r in doc["rows"]] == [
+        [int(seed), policy, float(alg), float(opt), float(ratio)]
+        for seed, policy, alg, opt, ratio in csv_rows
+    ]
+    summary = dict(pair.split("=") for pair in lines[-1].split()[2:])
+    assert doc["summary"]["max_ratio"] == float(summary["max_ratio"])
+    assert doc["summary"]["mean_ratio"] == float(summary["mean_ratio"])
 
 
 def test_adversary_command(capsys):
@@ -162,6 +175,10 @@ def test_wrong_space_pairing_rejected_before_simulation(ex1_file, capsys):
     assert "ring" in err
 
 
+def test_pairing_error_is_a_simulation_error():
+    assert issubclass(PairingError, SimulationError)
+
+
 def test_usage_error_exit_code(tmp_path, capsys):
     assert run_cli(["simulate"]) == 2
     capsys.readouterr()
@@ -177,6 +194,19 @@ def test_usage_error_exit_code(tmp_path, capsys):
                     "--variant", "closed", "--policy", "greedy", "--count", "1",
                     "--seed", "0"]) == 2
     capsys.readouterr()
+    # refused before anything is drawn: a negative length, an invalid space, and
+    # a mispaired policy even when no instance is drawn at all
+    for argv in (
+        ["gen", "--kind", "semiline", "--length", "-1", "--n", "2", "--seed", "1"],
+        ["gen", "--kind", "ring", "--circumference", "-1", "--n", "2", "--seed", "1"],
+        ["gen", "--kind", "star", "--rays", "0", "--n", "2", "--seed", "1"],
+        ["batch", "--kind", "star", "--length", "-1", "--variant", "closed",
+         "--policy", "greedy", "--count", "1", "--seed", "1"],
+        ["batch", "--kind", "line", "--variant", "closed", "--policy", "alg2-ring",
+         "--count", "0", "--seed", "1"],
+    ):
+        assert run_cli(argv) == 2, argv
+        assert capsys.readouterr().out == "", argv
     # the fptas epsilon is checked when the policy is built, before any run
     for mode in ("fptas=0", "fptas=-1", "fptas=5", "fptasx"):
         assert run_cli(["batch", "--kind", "star", "--variant", "closed",

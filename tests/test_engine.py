@@ -84,7 +84,7 @@ def test_verify_catches_premature_service():
         Waypoint(0.0, 0.0, "start"),
         Waypoint(1.0, 1.0, "serve", 1),
     ))
-    bad = Outcome(1.0, {1: 1.0}, traj, inst.requests, OPEN)
+    bad = Outcome(1.0, {1: 1.0}, traj, inst.requests)
     assert any("premature" in v for v in verify_outcome(inst, bad))
 
 
@@ -94,7 +94,7 @@ def test_verify_catches_open_ending_off_origin_closed():
         Waypoint(0.0, 0.0, "start"),
         Waypoint(1.0, 1.0, "serve", 1),
     ))
-    bad = Outcome(1.0, {1: 1.0}, traj, inst.requests, CLOSED)
+    bad = Outcome(1.0, {1: 1.0}, traj, inst.requests)
     assert any("origin" in v for v in verify_outcome(inst, bad))
 
 
@@ -104,7 +104,7 @@ def test_verify_catches_superluminal_motion():
         Waypoint(0.0, 0.0, "start"),
         Waypoint(1.0, 4.0, "serve", 1),
     ))
-    bad = Outcome(1.0, {1: 1.0}, traj, inst.requests, OPEN)
+    bad = Outcome(1.0, {1: 1.0}, traj, inst.requests)
     assert any("unit speed" in v or "superluminal" in v for v in verify_outcome(inst, bad))
 
 
@@ -198,7 +198,7 @@ def test_verify_refuses_out_of_domain_waypoint():
         Waypoint(1.0, -1.0, "move"),
     ))
     with pytest.raises(MetricError, match="outside semiline domain"):
-        verify_outcome(inst, Outcome(1.0, {}, traj, inst.requests, OPEN))
+        verify_outcome(inst, Outcome(1.0, {}, traj, inst.requests))
 
 
 class _Loiterer(Policy):

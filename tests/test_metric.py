@@ -39,31 +39,31 @@ def test_general_reference_matrix_distance(example1):
 
 
 def test_travel_semiline_midpoint():
-    assert SemiLine().travel(0.0, 1.0, 0.5) == pytest.approx(0.5)
+    assert SemiLine().plan_move(0.0, 1.0).point_at(0.5) == pytest.approx(0.5)
 
 
 def test_travel_ring_counterclockwise_shortcut():
     r = Ring(1.0)
-    assert r.travel(0.0, 0.9, 0.05) == pytest.approx(0.95)
+    assert r.plan_move(0.0, 0.9).point_at(0.05) == pytest.approx(0.95)
     # antipodal tie breaks clockwise
-    assert r.travel(0.0, 0.5, 0.1) == pytest.approx(0.1)
+    assert r.plan_move(0.0, 0.5).point_at(0.1) == pytest.approx(0.1)
 
 
 def test_travel_star_through_hub():
     s = Star(3)
-    ray, depth = s.travel((0, 0.5), (1, 0.3), 0.6)
+    ray, depth = s.plan_move((0, 0.5), (1, 0.3)).point_at(0.6)
     assert (ray, depth) == (1, pytest.approx(0.1))
 
 
 def test_travel_endpoint_laws():
     r = Ring(2.0)
     a, b = 0.3, 1.2
-    assert r.travel(a, b, 0.0) == pytest.approx(a)
-    assert r.travel(a, b, r.distance(a, b)) == pytest.approx(b)
+    assert r.plan_move(a, b).point_at(0.0) == pytest.approx(a)
+    assert r.plan_move(a, b).point_at(r.distance(a, b)) == pytest.approx(b)
     with pytest.raises(MetricError):
-        r.travel(a, b, -0.1)
+        r.plan_move(a, b).point_at(-0.1)
     with pytest.raises(MetricError):
-        r.travel(a, b, r.distance(a, b) + 1.0)
+        r.plan_move(a, b).point_at(r.distance(a, b) + 1.0)
 
 
 def test_validate_space_triangle_violation():
@@ -102,7 +102,7 @@ def test_point_domain_errors():
     (Star(4), [(0, 0.0), (1, 0.6), (3, 0.2), (2, 1.4)]),
 ])
 def test_path_consistency(space, points):
-    # distance(travel(a,b,e1), travel(a,b,e2)) == e2 - e1 along any shortest path
+    # the positions e1 and e2 along a shortest path a -> b lie e2 - e1 apart
     rng = random.Random(7)
     for a in points:
         for b in points:
@@ -111,14 +111,14 @@ def test_path_consistency(space, points):
                 continue
             for _ in range(8):
                 e1, e2 = sorted(rng.uniform(0.0, d) for _ in range(2))
-                p1 = space.travel(a, b, e1)
-                p2 = space.travel(a, b, e2)
+                p1 = space.plan_move(a, b).point_at(e1)
+                p2 = space.plan_move(a, b).point_at(e2)
                 assert space.distance(p1, p2) == pytest.approx(e2 - e1, abs=1e-9)
 
 
 def test_path_consistency_general_edges():
     g = General.from_rows([[0, 2, 3], [2, 0, 4], [3, 4, 0]])
-    mid = g.travel(1, 2, 1.0)
+    mid = g.plan_move(1, 2).point_at(1.0)
     assert isinstance(mid, EdgePoint)
     assert g.distance(mid, 2) == pytest.approx(3.0)  # ahead 3 vs back 1 + 4
     assert g.distance(mid, 0) == pytest.approx(3.0)  # back 1+2 vs ahead 3+3
@@ -130,7 +130,7 @@ def test_path_consistency_general_edges():
         (EdgePoint(1, 2, 3.0), EdgePoint(1, 2, 0.5), [(0.0, 1.0), (0.5, 2.0), (1.0, 2.5)]),
     ]:
         for e1, e2 in spans:
-            p1, p2 = g.travel(a, b, e1), g.travel(a, b, e2)
+            p1, p2 = g.plan_move(a, b).point_at(e1), g.plan_move(a, b).point_at(e2)
             assert g.distance(p1, p2) == pytest.approx(e2 - e1)
 
 

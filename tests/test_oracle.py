@@ -162,7 +162,7 @@ def test_reconstructed_times_obey_the_fold():
         t = 0.0
         prev = space.origin()
         for rid, expect in zip(res.order, res.per_step_times):
-            req = inst.request(rid)
+            req = inst.requests[rid - 1]
             t = max(t + space.distance(prev, req.point), req.release)
             assert t == pytest.approx(expect, abs=1e-12)
             prev = req.point
