@@ -95,7 +95,8 @@ class RingOpenAdversary(Adversary):
             return []
         self.fired = True
         s = self.space.norm(position)
-        a_side = self.space.distance(s, self.pos_a) <= self.space.distance(s, self.pos_b) + EPS
+        dist = self.space.unchecked_distance
+        a_side = dist(s, self.pos_a) <= dist(s, self.pos_b) + EPS
         if a_side:
             return [Emission(1.0 / 3.0, request_id=1), Emission(2.0 / 3.0, request_id=2)]
         return [Emission(1.0 / 3.0, request_id=2), Emission(2.0 / 3.0, request_id=1)]
@@ -122,14 +123,10 @@ class RingClosedCountAdversary(Adversary):
         self.intervals = 2 * steps
         self.seeded = False
         self.fired = False
-        self._next = 0.0
+        self._next = 0.0  # next wake: 0 to seed, then never below 0.5
 
     def next_wake(self, now: float) -> Optional[float]:
-        if not self.seeded:
-            return 0.0
-        if self.fired:
-            return None
-        return max(self._next, 0.5)
+        return None if self.fired else self._next
 
     def observe(self, now, position, served) -> List[Emission]:
         if not self.seeded:
@@ -141,9 +138,9 @@ class RingClosedCountAdversary(Adversary):
             ]
         if self.fired or now < 0.5 - EPS:
             return []
-        dist = self.space.distance(self.space.norm(position), 0.0)
+        dist = self.space.unchecked_distance(self.space.norm(position), 0.0)
         phi = dist + now
-        if phi < 1.0 - 1e-9:
+        if phi < 1.0 - EPS:
             # Earliest possible crossing is when the server strictly recedes;
             # distance-from-origin + time reaches 1 by t=1 at the latest.
             self._next = min(now + max((1.0 - phi) / 2.0, 1e-6), 1.0)
@@ -151,7 +148,7 @@ class RingClosedCountAdversary(Adversary):
         self.fired = True
         frac = max(1.0 - now, 0.0)
         spacing = frac / self.intervals
-        assert spacing <= self.epsilon / 4.0 + 1e-9
+        assert spacing <= self.epsilon / 4.0 + EPS
         s = self.space.norm(position)
         clockwise_side = s <= 0.5 + EPS
         points = []
@@ -169,14 +166,14 @@ class RingClosedCountAdversary(Adversary):
 class StarCountAdversary(Adversary):
     name = "star-count"
 
-    def __init__(self, epsilon: float, variant: str = CLOSED):
+    def __init__(self, epsilon: float):
         if not 0 < epsilon <= 1:
             raise ValueError("epsilon must be in (0, 1]")
         self.epsilon = epsilon
         self.n = math.ceil(7.0 / epsilon)
         self.k = self.n // 2
         self.space = Star(self.k)
-        self.variant = variant
+        self.variant = CLOSED
         self.knowledge = COUNT_KNOWN
         self.t_star = 2 * self.k - 1
         self.ledger: List[Point] = []
@@ -204,7 +201,7 @@ class StarCountAdversary(Adversary):
             for rid in newly:
                 point = self.ledger[rid - 1]
                 deep = isinstance(point, tuple) and abs(point[1] - 1.0) <= EPS
-                if deep and now < self.t_star - 1e-9 and len(self.ledger) < self.n:
+                if deep and now < self.t_star - EPS and len(self.ledger) < self.n:
                     self.ledger.append(point)
                     ems.append(Emission(now + 2.0, point=point))
         if self.seeded and not self.finale and now >= self.t_star - EPS:
@@ -296,19 +293,20 @@ class SemilineCountAdversary(Adversary):
 
 
 def make_adversary(name: str, epsilon: Optional[float] = None) -> Adversary:
+    """Build a construction from its CLI name.  Only ``ring-closed-count`` and
+    ``star-count`` take an epsilon, as a ``:EPS`` suffix or ``epsilon`` (default 0.5)."""
     base, _, suffix = name.partition(":")
     if suffix:
         epsilon = float(suffix)
-    if base == "ring-open":
-        return RingOpenAdversary()
     if base == "ring-closed-count":
         return RingClosedCountAdversary(epsilon if epsilon is not None else 0.5)
     if base == "star-count":
         return StarCountAdversary(epsilon if epsilon is not None else 0.5)
-    if base == "semiline-open-loc":
-        return SemilineOpenLocAdversary()
-    if base == "semiline-closed-count":
-        return SemilineCountAdversary(CLOSED)
-    if base == "semiline-open-count":
-        return SemilineCountAdversary(OPEN)
-    raise ValueError(f"unknown adversary {name!r}")
+    build = {"ring-open": RingOpenAdversary, "semiline-open-loc": SemilineOpenLocAdversary,
+             "semiline-closed-count": lambda: SemilineCountAdversary(CLOSED),
+             "semiline-open-count": lambda: SemilineCountAdversary(OPEN)}.get(base)
+    if build is None:
+        raise ValueError(f"unknown adversary {name!r}")
+    if epsilon is not None:
+        raise ValueError(f"adversary {base!r} takes no epsilon, got {epsilon!r}")
+    return build()

@@ -1,4 +1,4 @@
-"""Online policies with known request locations, plus two baselines.
+"""Online policies that see every request location up front, plus two baselines.
 
 All policies are single-use and driven by the engine: ``decide`` is called
 after every event and answers "what to do from here".  Each of the paper's
@@ -20,6 +20,7 @@ from .engine import (
     Action,
     MoveTo,
     Observation,
+    PairingError,
     Policy,
     PolicyContext,
     SimulationError,
@@ -198,12 +199,14 @@ class Alg1General(Route):
 
     The start threshold is the first time t at which some order has both
     t >= length/2 and a fully released prefix covering half its length.  The
-    prefix condition for an order flips exactly when the last request it needs
-    (those reached before the halfway point) is released, so the threshold is
-    min over orders of max(length/2, latest needed release).  Orders with the
-    same needed set share that release, so it is evaluated online per needed
-    set S as min over released S of max(least length/2 given S, latest
-    release in S): at most 2^n entries instead of n!.
+    requests an order reaches before its halfway point are its needed set;
+    orders with the same needed set share the prefix condition, so the
+    threshold is kept per needed set S as the least length/2 among the orders
+    that need S: at most 2^n entries instead of n!.  The policy waits for a
+    release while no needed set is fully released, and otherwise until the
+    least length/2 among the fully released sets.  No release term is needed:
+    a set is fully released only once its latest release is due, at most
+    ``now + EPS``, so that release can never hold the start back.
     """
 
     name = "alg1"
@@ -217,7 +220,7 @@ class Alg1General(Route):
     def begin(self, ctx: PolicyContext) -> None:
         n = ctx.n
         if n > ALG1_CAP:
-            raise SimulationError(f"alg1 handles at most {ALG1_CAP} requests, got {n}")
+            raise PairingError(f"alg1 handles at most {ALG1_CAP} requests, got {n}")
         super().begin(ctx)
         if n == 0:
             return
@@ -247,24 +250,16 @@ class Alg1General(Route):
         np.minimum.at(min_half, needed, half)
         self.need_sets = np.flatnonzero(min_half < np.inf)
         self.min_half = min_half[self.need_sets]
-        self.tau = np.zeros(len(self.need_sets))  # latest release folded in, per set
-        self.known = 0  # bitmask of releases already folded into tau
         self.perms, self.prefix, self.ell = perms, prefix, ell
 
     def _waiting_step(self, obs: Observation) -> Optional[Action]:
         released_bits = 0
-        for rid, req in obs.released.items():
-            bit = 1 << (rid - 1)
-            released_bits |= bit
-            if not self.known & bit:
-                sel = (self.need_sets & bit) != 0
-                self.tau[sel] = np.maximum(self.tau[sel], req.release)
-        self.known = released_bits
+        for rid in obs.released:
+            released_bits |= 1 << (rid - 1)
         ok = (self.need_sets & ~released_bits) == 0
         if not ok.any():
             return WaitForRelease(None)
-        cand = np.maximum(self.min_half, self.tau)[ok]
-        best = float(cand.min())
+        best = float(self.min_half[ok].min())
         if best > obs.now + EPS:
             return WaitUntil(best)
         self._commit(obs, released_bits)
@@ -336,13 +331,13 @@ class Alg2Ring(Route):
         # Serve the far side of the empty arc first, looping through it, then
         # out-and-back over the near side.  Directions mirror when the lower
         # endpoint is the farther one.
-        dist = self.ctx.space.distance
+        dist = self.ctx.space.unchecked_distance
         if dist(p_hi, 0.0) >= dist(p_lo, 0.0):
             far, near, cw = p_hi, p_lo, True
         else:
             far, near, cw = p_lo, p_hi, False
-        self.steps = [("_arc_step", far, cw), ("_sweep_step", 0.0, cw),
-                      ("_arc_step", near, cw), ("_sweep_step", 0.0, not cw)]
+        self.steps = [("_arc_step", far, cw), ("_sweep_step", cw),
+                      ("_arc_step", near, cw), ("_sweep_step", not cw)]
 
     def _delegate_step(self, obs: Observation) -> Action:
         return self.delegate.decide(obs)
@@ -364,11 +359,11 @@ class Alg2Ring(Route):
         hop = min(arc, self.c / 4)
         return MoveTo(self.ctx.space.norm(cur + d * hop))
 
-    def _sweep_step(self, obs: Observation, end: float, clockwise: bool) -> Optional[Action]:
-        """Serve-with-wait sweep toward ``end``: stop at unreleased requests."""
+    def _sweep_step(self, obs: Observation, clockwise: bool) -> Optional[Action]:
+        """Serve-with-wait sweep home to the origin: stop at unreleased requests."""
         cur = self.ctx.space.norm(obs.position)
         d = 1.0 if clockwise else -1.0
-        remaining = self._arc(cur, end, d)
+        remaining = self._arc(cur, 0.0, d)
 
         def offset(p: float) -> Optional[float]:
             off = self._arc(cur, p, d)
@@ -378,12 +373,12 @@ class Alg2Ring(Route):
                         lambda p: self._arc_step(obs, p, clockwise))
         if act is not None or remaining <= EPS:
             return act
-        return self._arc_step(obs, end, clockwise)
+        return self._arc_step(obs, 0.0, clockwise)
 
     def _mop_step(self, obs: Observation, clockwise: bool) -> Optional[Action]:
         """Travel to the farthest unserved request, ties to the lowest id; the
         target is fixed when the step starts."""
-        dist = self.ctx.space.distance
+        dist = self.ctx.space.unchecked_distance
         rid = max((r for r in self.points if r not in obs.served),
                   key=lambda r: (dist(self.points[r], 0.0), -r))
         self.steps[0] = ("_arc_step", self.points[rid], clockwise)
@@ -423,8 +418,8 @@ class Alg2Ring(Route):
             return WaitForRelease(None)
         self.window = w
         clockwise, target = w
-        self.steps[1:1] = [("_arc_step", target, clockwise), ("_sweep_step", 0.0, clockwise),
-                           ("_mop_step", clockwise), ("_sweep_step", 0.0, not clockwise)]
+        self.steps[1:1] = [("_arc_step", target, clockwise), ("_sweep_step", clockwise),
+                           ("_mop_step", clockwise), ("_sweep_step", not clockwise)]
         return None
 
 
@@ -490,14 +485,18 @@ class Alg3Star(Route):
         self.steps += [("go", ctx.space.origin()), ("all_released",), ("_mop_step",)]
 
     def _sweep_in(self, obs: Observation, ray: int) -> Optional[Action]:
+        """Serve-with-wait sweep in along ``ray``; the walk to the hub after
+        the last stop is the next step's."""
         pos = obs.position
         depth = pos[1] if isinstance(pos, tuple) and pos[0] == ray else 0.0
-        act = next_stop(self.points, obs,
-                        lambda p: depth - p[1] if p[0] == ray or p[1] <= EPS else None,
-                        lambda p: MoveTo((ray, p[1])))
-        if act is None and depth > EPS:
-            return MoveTo((ray, 0.0))
-        return act
+        return next_stop(self.points, obs,
+                         lambda p: depth - p[1] if p[0] == ray or p[1] <= EPS else None,
+                         lambda p: MoveTo((ray, p[1])))
+
+    def _round_trips(self, tips) -> List[tuple]:
+        """Steps out to each ``(ray, depth)`` tip in turn and back to the hub."""
+        o = self.ctx.space.origin()
+        return [step for tip in tips for step in (("go", tip), ("go", o))]
 
     def _choose_rays(self, obs: Observation) -> Optional[Action]:
         """At time ``total``, pick the rays to traverse and add a round trip
@@ -512,25 +511,18 @@ class Alg3Star(Route):
         ]
         sel = knapsack_select(items, self.total / 2 + 1e-12, self.mode, self.eps)
         self.chosen_rays = sel.indices
-        o = self.ctx.space.origin()
-        self.steps[1:1] = [step for ray in sel.indices
-                           for step in (("go", (ray, self.ray_len[ray])), ("go", o))]
+        self.steps[1:1] = self._round_trips((ray, self.ray_len[ray]) for ray in sel.indices)
         return None
 
-    def _mop_step(self, obs: Observation) -> Action:
-        """Serve what is left: deeper on the current ray, else home, else the
-        deepest request on the lowest ray that has one."""
-        pos = obs.position
-        left = [(r, d) for rid, (r, d) in self.points.items()
-                if rid not in obs.served and d > EPS]
-        if isinstance(pos, tuple) and pos[1] > EPS:
-            deeper = [d for r, d in left if r == pos[0] and d > pos[1] + EPS]
-            return MoveTo((pos[0], max(deeper)) if deeper else self.ctx.space.origin())
-        if left:
-            ray = min(r for r, _ in left)
-            return MoveTo((ray, max(d for r, d in left if r == ray)))
-        # only origin requests remain; they are released and auto-served
-        return WaitForRelease(None)
+    def _mop_step(self, obs: Observation) -> None:
+        """Once all is released, add a round trip to the deepest unserved
+        request of each ray that has one, lowest ray first; the way out
+        serves the rest of the ray."""
+        deepest: Dict[int, float] = {}
+        for rid, (r, d) in self.points.items():
+            if rid not in obs.served and d > EPS:
+                deepest[r] = max(d, deepest.get(r, d))
+        self.steps[1:1] = self._round_trips((r, deepest[r]) for r in sorted(deepest))
 
 
 # Semi-line policies --------------------------------------------------------------
@@ -550,6 +542,25 @@ class _SemilineRoute(Route):
     def _out(self, obs: Observation) -> Optional[Action]:
         """Travel out to the farthest request."""
         return MoveTo(self.limit) if obs.position < self.limit - EPS else None
+
+    def _sweep(self, obs: Observation, rightward: bool) -> Action:
+        """Serve-with-wait sweep in one direction.  With no stop left, go on
+        to the farthest unserved request ahead; with nothing ahead, a closed
+        run goes home and an open run waits."""
+        pos = obs.position
+        sign = 1.0 if rightward else -1.0
+        act = next_stop(self.points, obs, lambda p: (p - pos) * sign, MoveTo)
+        if act is not None:
+            return act
+        ahead = [
+            p for rid, p in self.points.items()
+            if rid not in obs.served and (p - pos) * sign > EPS
+        ]
+        if ahead:
+            return MoveTo(max(ahead) if rightward else min(ahead))
+        if self.ctx.variant == CLOSED:
+            return MoveTo(self.ctx.space.origin())
+        return WaitForRelease(None)
 
 
 class Alg4Semiline(_SemilineRoute):
@@ -612,20 +623,6 @@ class Alg4Semiline(_SemilineRoute):
             return MoveTo(self.x_frozen)
         return None
 
-    def _sweep(self, obs: Observation, rightward: bool) -> Action:
-        pos = obs.position
-        sign = 1.0 if rightward else -1.0
-        act = next_stop(self.points, obs, lambda p: (p - pos) * sign, MoveTo)
-        if act is not None:
-            return act
-        ahead = [
-            p for rid, p in self.points.items()
-            if rid not in obs.served and (p - pos) * sign > EPS
-        ]
-        if ahead:
-            return MoveTo(max(ahead) if rightward else min(ahead))
-        return WaitForRelease(None)
-
 
 class Alg5Semiline(_SemilineRoute):
     """Closed semi-line policy: out to the farthest request, then one inward
@@ -635,15 +632,7 @@ class Alg5Semiline(_SemilineRoute):
     requires_variant = CLOSED
 
     def __init__(self):
-        self.steps = [("_out",), ("_sweep_home",)]
-
-    def _sweep_home(self, obs: Observation) -> Action:
-        pos = obs.position
-        act = next_stop(self.points, obs, lambda p: pos - p, MoveTo)
-        if act is not None:
-            return act
-        lows = [p for rid, p in self.points.items() if rid not in obs.served and p <= pos + EPS]
-        return MoveTo(min(lows, default=self.ctx.space.origin()))
+        self.steps = [("_out",), ("_sweep", False)]
 
 
 # Baselines ------------------------------------------------------------------------
@@ -662,7 +651,7 @@ class WaitAll(Route):
 
     def begin(self, ctx: PolicyContext) -> None:
         if ctx.n > MAX_REQUESTS:
-            raise SimulationError(f"wait-all is capped at {MAX_REQUESTS} requests (exact tour)")
+            raise PairingError(f"wait-all is capped at {MAX_REQUESTS} requests (exact tour)")
         self.ctx = ctx
 
     def _plan(self, obs: Observation) -> None:
@@ -710,12 +699,9 @@ class Greedy(Policy):
 
 
 def make_policy(name: str) -> Policy:
-    """Build a policy from its CLI name, e.g. ``alg3-star:fptas=0.05``."""
-    base, _, suffix = name.partition(":")
-    if base == "alg1":
-        return Alg1General()
-    if base == "alg2-ring":
-        return Alg2Ring()
+    """Build a policy from its CLI name.  Only ``alg3-star`` takes a suffix,
+    its knapsack mode, e.g. ``alg3-star:fptas=0.05``."""
+    base, colon, suffix = name.partition(":")
     if base == "alg3-star":
         mode, _, val = suffix.partition("=")
         if suffix in ("", "exact"):
@@ -723,12 +709,10 @@ def make_policy(name: str) -> Policy:
         if mode == "fptas":
             return Alg3Star("fptas", float(val) if val else 0.1)
         raise ValueError(f"unknown alg3-star mode {suffix!r}")
-    if base == "alg4-semiline":
-        return Alg4Semiline()
-    if base == "alg5-semiline":
-        return Alg5Semiline()
-    if base == "wait-all":
-        return WaitAll()
-    if base == "greedy":
-        return Greedy()
-    raise ValueError(f"unknown policy {name!r}")
+    build = {"alg1": Alg1General, "alg2-ring": Alg2Ring, "alg4-semiline": Alg4Semiline,
+             "alg5-semiline": Alg5Semiline, "wait-all": WaitAll, "greedy": Greedy}.get(base)
+    if build is None:
+        raise ValueError(f"unknown policy {name!r}")
+    if colon:
+        raise ValueError(f"policy {base!r} takes no suffix, got {name!r}")
+    return build()

@@ -1,7 +1,8 @@
 """Command-line front end: simulate, oracle, gen, batch, adversary.
 
 Exit codes: 0 success / bound pass, 1 bound violation or infeasibility,
-2 usage errors (including incompatible policy pairings).
+2 usage errors (including incompatible policy pairings and request counts
+past a policy's cap).
 """
 from __future__ import annotations
 

@@ -28,7 +28,8 @@ class SimulationError(RuntimeError):
 
 
 class PairingError(SimulationError):
-    """A policy cannot run on the scenario's space kind, variant or knowledge."""
+    """A policy cannot run on the scenario's space kind, variant, knowledge
+    or request count."""
 
 
 # Actions --------------------------------------------------------------------
@@ -238,7 +239,7 @@ def simulate(scenario: Scenario, policy: Policy, step_budget: int = 1_000_000) -
     def process_due() -> None:
         while schedule and schedule[0][0] <= now + EPS:
             _, rid = heapq.heappop(schedule)
-            released.setdefault(rid, Request(rid, points[rid], releases[rid]))
+            released[rid] = Request(rid, points[rid], releases[rid])
 
     def auto_serve() -> None:
         nonlocal adv_wake

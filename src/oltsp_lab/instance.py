@@ -241,20 +241,20 @@ def generate_random(params: GenParams, kind: str, variant: str = CLOSED,
                     knowledge: str = LOCATIONS_KNOWN) -> Instance:
     """Deterministic instance for (seed, params); positions uniform in the domain.
     Semi-line and line points lie within ``length`` of the origin, star points
-    within ``length`` of the hub.  Raises ValueError on a negative length or an
-    invalid space before drawing anything."""
+    within ``length`` of the hub.  Raises ValueError on a negative or
+    non-finite length or horizon, or an invalid space, before drawing anything."""
     if params.n < 0:
         raise ValueError("n must be >= 0")
     if params.n > MAX_REQUESTS:
         raise ValueError(f"n={params.n} exceeds the n<={MAX_REQUESTS} generation cap")
-    if params.release_horizon < 0:
-        raise ValueError("release horizon must be >= 0")
+    if not 0 <= params.release_horizon < math.inf:
+        raise ValueError(f"release horizon must be finite and >= 0, got {params.release_horizon}")
     rng = random.Random(params.seed)
     sp = params.space_params
     n = params.n
     length = float(sp.get("length", 1.0))
-    if not length >= 0:
-        raise ValueError(f"length must be >= 0, got {length}")
+    if not 0 <= length < math.inf:
+        raise ValueError(f"length must be finite and >= 0, got {length}")
 
     if kind == "semiline":
         space: MetricSpace = SemiLine()

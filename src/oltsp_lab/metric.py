@@ -148,7 +148,7 @@ class SemiLine(Line):
     kind = "semiline"
 
     def contains(self, p: Point) -> bool:
-        return isinstance(p, (int, float)) and not isinstance(p, bool) and p >= -EPS
+        return isinstance(p, (int, float)) and not isinstance(p, bool) and -EPS <= p < math.inf
 
     distance, plan_move = Line.distance, Line.plan_move
 
@@ -205,8 +205,8 @@ class Ring(MetricSpace):
         return max(gaps)
 
     def validate(self) -> list:
-        if self.circumference <= 0:
-            return [f"ring circumference must be positive, got {self.circumference}"]
+        if not 0 < self.circumference < math.inf:
+            return [f"ring circumference must be positive and finite, got {self.circumference}"]
         return []
 
 
@@ -228,7 +228,7 @@ class Star(MetricSpace):
             isinstance(ray, int)
             and 0 <= ray < self.ray_count
             and isinstance(depth, (int, float))
-            and depth >= -EPS
+            and -EPS <= depth < math.inf
         )
 
     def unchecked_distance(self, a, b) -> float:

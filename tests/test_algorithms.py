@@ -1,10 +1,12 @@
 import gc
 import itertools
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_instance, tie_heavy_instances
 from oltsp_lab import (
@@ -22,10 +24,12 @@ from oltsp_lab.algorithms import (
     Alg1General,
     Alg2Ring,
     Alg3Star,
+    Alg5Semiline,
     Route,
     make_policy,
+    next_stop,
 )
-from oltsp_lab.engine import SimulationError, WaitForRelease, WaitUntil
+from oltsp_lab.engine import MoveTo, SimulationError, WaitForRelease, WaitUntil
 from oltsp_lab.metric import EPS, General, Ring, SemiLine, Star, distance_table
 
 
@@ -185,7 +189,8 @@ def _alg1_choice(pol):
 
 @settings(max_examples=200, deadline=None)
 @given(tie_heavy_instances(
-    [("general", {}), ("general", {"asymmetric": True}), ("line", {}), ("star", {"ray_count": 3})],
+    [("general", {}), ("general", {"asymmetric": True}), ("line", {}), ("star", {"ray_count": 3}),
+     ("ring", {}), ("semiline", {})],
     max_n=7,
 ))
 def test_alg1_threshold_per_needed_set_matches_per_order(inst):
@@ -193,6 +198,11 @@ def test_alg1_threshold_per_needed_set_matches_per_order(inst):
     ref_out, out = simulate(inst, ref), simulate(inst, pol)
     assert _alg1_choice(pol) == _alg1_choice(ref)
     assert out.completion == ref_out.completion
+
+
+def _run(inst, policy):
+    out = simulate(inst, policy)
+    return out.completion, out.services, out.trajectory.waypoints
 
 
 # Algorithm 2 (ring) ----------------------------------------------------------------
@@ -323,6 +333,44 @@ def test_alg3_ratio_small_sweep(mode, bound):
         assert ratio_ok(out.completion, opt, bound), (mode, seed)
 
 
+class LiveMopAlg3(Alg3Star):
+    """Reference alg3 ending: the inward sweep walks to the hub itself, and
+    the final mop is re-derived on every step: deeper on the current ray, else
+    home, else the deepest request on the lowest ray that has one."""
+
+    def _sweep_in(self, obs, ray):
+        pos = obs.position
+        depth = pos[1] if isinstance(pos, tuple) and pos[0] == ray else 0.0
+        act = next_stop(self.points, obs,
+                        lambda p: depth - p[1] if p[0] == ray or p[1] <= EPS else None,
+                        lambda p: MoveTo((ray, p[1])))
+        if act is None and depth > EPS:
+            return MoveTo((ray, 0.0))
+        return act
+
+    def _mop_step(self, obs):
+        pos = obs.position
+        left = [(r, d) for rid, (r, d) in self.points.items()
+                if rid not in obs.served and d > EPS]
+        if isinstance(pos, tuple) and pos[1] > EPS:
+            deeper = [d for r, d in left if r == pos[0] and d > pos[1] + EPS]
+            return MoveTo((pos[0], max(deeper)) if deeper else self.ctx.space.origin())
+        if left:
+            ray = min(r for r, _ in left)
+            return MoveTo((ray, max(d for r, d in left if r == ray)))
+        return WaitForRelease(None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_instances([("star", {"ray_count": k}) for k in (1, 3, 6)], max_n=8),
+       st.sampled_from(("exact", "fptas")))
+def test_alg3_round_trip_mop_matches_live_mop(inst, mode):
+    inst = replace(inst, variant=CLOSED)
+    pol, ref = Alg3Star(mode), LiveMopAlg3(mode)
+    assert _run(inst, pol) == _run(inst, ref)
+    assert (pol.summaries, pol.chosen_rays) == (ref.summaries, ref.chosen_rays)
+
+
 # Algorithm 4 (open semi-line) ---------------------------------------------------------
 
 
@@ -393,6 +441,29 @@ def test_alg5_always_optimal_small_sweep():
         out = simulate(inst, make_policy("alg5-semiline"))
         opt = opt_makespan(inst).makespan
         assert abs(out.completion - opt) <= 1e-9, seed
+
+
+class SweepHomeAlg5(Alg5Semiline):
+    """Reference alg5 with its own inward sweep, which heads for the lowest
+    unserved request behind the server, else home."""
+
+    def __init__(self):
+        self.steps = [("_out",), ("_sweep_home",)]
+
+    def _sweep_home(self, obs):
+        pos = obs.position
+        act = next_stop(self.points, obs, lambda p: pos - p, MoveTo)
+        if act is not None:
+            return act
+        lows = [p for rid, p in self.points.items() if rid not in obs.served and p <= pos + EPS]
+        return MoveTo(min(lows, default=self.ctx.space.origin()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_instances([("semiline", {})], max_n=8))
+def test_alg5_shared_sweep_matches_sweep_home(inst):
+    inst = replace(inst, variant=CLOSED)
+    assert _run(inst, Alg5Semiline()) == _run(inst, SweepHomeAlg5())
 
 
 # Baselines ------------------------------------------------------------------------

@@ -194,8 +194,9 @@ def test_usage_error_exit_code(tmp_path, capsys):
                     "--variant", "closed", "--policy", "greedy", "--count", "1",
                     "--seed", "0"]) == 2
     capsys.readouterr()
-    # refused before anything is drawn: a negative length, an invalid space, and
-    # a mispaired policy even when no instance is drawn at all
+    # refused with nothing on stdout: a negative length, an invalid space, a
+    # mispaired policy even when no instance is drawn at all, a non-finite
+    # size, a suffix or epsilon that is not taken, and a count past a cap
     for argv in (
         ["gen", "--kind", "semiline", "--length", "-1", "--n", "2", "--seed", "1"],
         ["gen", "--kind", "ring", "--circumference", "-1", "--n", "2", "--seed", "1"],
@@ -204,6 +205,31 @@ def test_usage_error_exit_code(tmp_path, capsys):
          "--policy", "greedy", "--count", "1", "--seed", "1"],
         ["batch", "--kind", "line", "--variant", "closed", "--policy", "alg2-ring",
          "--count", "0", "--seed", "1"],
+        # non-finite sizes
+        ["gen", "--kind", "ring", "--non-line-like", "--circumference", "nan",
+         "--n", "2", "--seed", "1"],
+        ["gen", "--kind", "ring", "--non-line-like", "--circumference", "inf",
+         "--n", "2", "--seed", "1"],
+        ["batch", "--kind", "semiline", "--length", "inf", "--variant", "closed",
+         "--policy", "alg5-semiline", "--count", "1", "--seed", "1"],
+        ["batch", "--kind", "star", "--length", "inf", "--variant", "closed",
+         "--policy", "greedy", "--count", "1", "--seed", "1"],
+        ["batch", "--kind", "line", "--horizon", "nan", "--variant", "closed",
+         "--policy", "greedy", "--count", "1", "--seed", "1"],
+        ["batch", "--kind", "line", "--horizon", "inf", "--variant", "closed",
+         "--policy", "greedy", "--count", "1", "--seed", "1"],
+        # a suffix or epsilon the policy or construction does not take
+        ["batch", "--kind", "semiline", "--variant", "open", "--policy", "alg1:junk",
+         "--count", "1", "--seed", "1", "--n", "2"],
+        ["batch", "--kind", "line", "--variant", "open", "--policy", "greedy:xyz",
+         "--count", "1", "--seed", "1", "--n", "2"],
+        ["adversary", "--name", "ring-open:0.3", "--policy", "greedy"],
+        ["adversary", "--name", "semiline-open-count", "--epsilon", "0.3",
+         "--policy", "greedy"],
+        # more requests than the policy's cap
+        ["batch", "--kind", "semiline", "--variant", "open", "--policy", "alg1",
+         "--count", "1", "--seed", "1", "--n", "10"],
+        ["adversary", "--name", "ring-closed-count:0.25", "--policy", "wait-all"],
     ):
         assert run_cli(argv) == 2, argv
         assert capsys.readouterr().out == "", argv

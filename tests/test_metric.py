@@ -76,6 +76,8 @@ def test_validate_space_ring_ok():
     assert Ring(1.0).validate() == []
     assert Ring(-1.0).validate() != []
     assert Star(0).validate() != []
+    for c in (math.nan, math.inf):
+        assert Ring(c).validate() != []
 
 
 def test_validate_space_asymmetric_allowed():
@@ -93,6 +95,9 @@ def test_point_domain_errors():
         Star(2).distance((2, 0.1), (0, 0.1))
     with pytest.raises(MetricError):
         General.from_rows([[0.0]]).distance(0, 3)
+    # an infinite coordinate is outside every domain
+    assert not SemiLine().contains(math.inf)
+    assert not Star(2).contains((1, math.inf))
 
 
 @pytest.mark.parametrize("space,points", [
