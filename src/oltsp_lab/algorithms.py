@@ -147,7 +147,9 @@ def _knapsack_exact(items, capacity) -> KnapsackResult:
     for it in items:
         ws = np.concatenate([ws, ws + it.weight])
         vs = np.concatenate([vs, vs + it.value])
-    feasible = np.flatnonzero(ws <= capacity + 1e-12)
+    ok = ws <= capacity + 1e-12
+    ok[0] = True  # the empty subset, also at a capacity in [-EPS, 0)
+    feasible = np.flatnonzero(ok)
     # Highest value, then lightest, then smallest subset mask.
     order = np.lexsort((feasible, ws[feasible], -vs[feasible]))
     best = int(feasible[order[0]])

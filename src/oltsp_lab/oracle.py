@@ -10,9 +10,11 @@ trajectory induces the service order of its serve events, and its completion
 is bounded below by that order's fold (the fold only ever waits at request
 positions, which is enough: shifting any other waiting later along the same
 order never hurts).  Minimizing the fold over all orders is therefore exact,
-which the subset dynamic program below does in O(2^n * n^2) on an (n, 2^n)
-table ``dp[last, mask]``, one gather, min and scatter per ``CHUNK`` cells of
-a popcount layer.  It keeps no parent table: the order is rebuilt from the
+which the subset dynamic program below does in O(2^n * n^2) with one
+(n, C(n, k)) table per popcount layer k, ``tab[last, rank of mask]``.  Each
+layer is computed from the one below alone, about ``CHUNK`` cells at a time:
+one gather of predecessor columns, a broadcast add of the distance table, a
+min and a scatter.  It keeps no parent table: the order is rebuilt from the
 full mask backwards, each step taking the first minimum of the same float
 row.  A factorial brute force over the same fold serves as an independent
 cross-check.  It folds every order at once, one position at a time, over a
@@ -33,8 +35,9 @@ BRUTE_CAP = 10
 # The brute force folds the whole order table up to this n; at n = 10 the table
 # alone would take 290 MB, so it goes one leading request at a time.
 WHOLE_TABLE_N = 9
-# Cells per DP step: its two (n, CHUNK) float64 blocks, 576 KiB at n = 18, stay
-# in a 1-2 MiB L2 cache.  That is the hardware's property, not the instance's.
+# Cells per DP step: its (n, n, CHUNK // n) float64 block of candidates, about
+# 286 KiB at n = 18, stays in a 1-2 MiB L2 cache.  That is the hardware's
+# property, not the instance's.
 CHUNK = 2048
 
 
@@ -77,24 +80,27 @@ def opt_makespan(inst: Instance) -> OptResult:
         return _best_by_enumeration(inst, d0, dret, dmat, rel, closed)
 
     dist, relv = np.asarray(dmat), np.asarray(rel)
-    full = (1 << n) - 1
-    dp = np.full((n, full + 1), np.inf)  # dp[last, mask], flat cell last << n | mask
-    dp[range(n), 1 << np.arange(n)] = np.maximum(d0, rel)
-    for cell in _cell_chunks(n):
-        cell = cell.astype(np.intp)
-        last = cell >> n
-        cand = np.take(dp, (cell & full) ^ (1 << last), axis=1)
-        cand += np.take(dist, last, axis=1)
-        best = cand.min(axis=0)
-        # min_i max(a_i, r) == max(min_i a_i, r) exactly: clamp once, after the min.
-        np.put(dp, cell, np.maximum(best, relv[last], out=best))
+    rank, steps = _layer_plan(n)
+    tab = np.full((n, n), np.inf)  # layer 1: tab[last, rank of 1 << last] = tab[last, last]
+    tab[range(n), range(n)] = np.maximum(d0, rel)
+    tabs = [tab]
+    for size, chunks in steps:
+        prev, tab = tab, np.full((n, size), np.inf)
+        for pred, cell in chunks:
+            # Stored int32 to bound the plan at n = 18; take is faster on intp.
+            cand = np.take(prev, pred.astype(np.intp), axis=1)  # cand[i, j, q]
+            cand += dist[:, :, None]
+            best = cand.min(axis=0)
+            # min_i max(a_i, r) == max(min_i a_i, r) exactly: clamp once, after the min.
+            np.put(tab, cell.astype(np.intp), np.maximum(best, relv[:, None], out=best))
+        tabs.append(tab)
 
-    finals = dp[:, full] + (np.asarray(dret) if closed else 0.0)
+    finals = tab[:, 0] + (np.asarray(dret) if closed else 0.0)
     j = int(np.argmin(finals))
     makespan = float(finals[j])
-    order, mask = [j], full ^ (1 << j)
-    while mask:
-        j = int(np.argmin(np.maximum(dp[:, mask] + dist[:, j], relv[j])))
+    order, mask = [j], ((1 << n) - 1) ^ (1 << j)
+    for tab in reversed(tabs[:-1]):  # the layer of popcount(mask)
+        j = int(np.argmin(np.maximum(tab[:, rank[mask]] + dist[:, j], relv[j])))
         order.append(j)
         mask ^= 1 << j
     order.reverse()
@@ -140,19 +146,32 @@ def opt_bruteforce(inst: Instance) -> OptResult:
 
 
 @lru_cache(maxsize=None)
-def _cell_chunks(n: int):
-    """The DP's cells ``last << n | mask`` with popcount(mask) >= 2, layer by
-    layer in popcount order, each layer grouped by ``last`` and cut into
-    read-only int32 chunks of at most ``CHUNK`` cells."""
+def _layer_plan(n: int):
+    """The DP's read-only int32 plan for n requests: ``rank[mask]``, a mask's
+    column in the table of its popcount layer (masks in ascending order), and
+    for each layer k >= 2 its table width C(n, k) with its (pred, cell) blocks.
+    Row j of both blocks runs over the layer's masks that hold j: ``pred`` is
+    the column in layer k - 1 of the mask without j, ``cell`` the flat cell
+    ``j * C(n, k) + rank`` it fills.  The blocks are cut into chunks of
+    ``CHUNK // n`` columns, about ``CHUNK`` cells each."""
     masks = np.arange(1 << n, dtype=np.int32)
     pops = sum((masks >> j) & 1 for j in range(n))
-    chunks = []
-    for k in range(2, n + 1):
-        layer = masks[pops == k]
-        cells = np.concatenate([layer[(layer >> j) & 1 == 1] | (j << n) for j in range(n)])
-        cells.flags.writeable = False
-        chunks += np.split(cells, range(CHUNK, len(cells), CHUNK))
-    return tuple(chunks)
+    layers = [masks[pops == k] for k in range(n + 1)]
+    rank = np.empty(1 << n, dtype=np.int32)
+    for layer in layers:
+        rank[layer] = np.arange(len(layer))
+    width = CHUNK // n
+    steps = []
+    for layer in layers[2:]:
+        held = [np.flatnonzero((layer >> j) & 1) for j in range(n)]
+        pred = np.stack([rank[layer[h] ^ (1 << j)] for j, h in enumerate(held)])
+        cell = np.stack([h + j * len(layer) for j, h in enumerate(held)]).astype(np.int32)
+        pred.flags.writeable = cell.flags.writeable = False
+        cuts = range(width, pred.shape[1], width)
+        steps.append((len(layer), tuple(zip(np.split(pred, cuts, axis=1),
+                                            np.split(cell, cuts, axis=1)))))
+    rank.flags.writeable = False
+    return rank, tuple(steps)
 
 
 def _order_blocks(n: int):

@@ -230,6 +230,11 @@ def test_usage_error_exit_code(tmp_path, capsys):
         ["batch", "--kind", "semiline", "--variant", "open", "--policy", "alg1",
          "--count", "1", "--seed", "1", "--n", "10"],
         ["adversary", "--name", "ring-closed-count:0.25", "--policy", "wait-all"],
+        # an epsilon below the count constructions' floor of 0.005
+        ["adversary", "--name", "ring-closed-count:5e-324", "--policy", "greedy"],
+        ["adversary", "--name", "star-count:5e-324", "--policy", "greedy"],
+        ["adversary", "--name", "ring-closed-count:0.004", "--policy", "greedy"],
+        ["adversary", "--name", "star-count", "--epsilon", "0.004", "--policy", "greedy"],
     ):
         assert run_cli(argv) == 2, argv
         assert capsys.readouterr().out == "", argv

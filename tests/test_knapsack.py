@@ -68,6 +68,13 @@ def test_negative_inputs_rejected():
         knapsack_select([], -1.0, "exact")
 
 
+def test_tiny_negative_capacity_selects_nothing():
+    # a capacity in [-EPS, 0) passes the check; the empty subset is still feasible
+    for weight in (1.0, 0.0):
+        for mode in ("exact", "fptas"):
+            assert knapsack_select([KnapsackItem(0, weight, 1.0)], -5e-10, mode).indices == ()
+
+
 def test_exact_item_cap():
     items = [KnapsackItem(i, 0.1, 0.05) for i in range(21)]
     with pytest.raises(ValueError, match="fptas"):

@@ -280,7 +280,7 @@ def test_dp_equals_reference_dp_at_eleven_to_fourteen(kind, sp):
 
 def test_dp_memory_bounded_at_cap():
     inst = generate_random(GenParams(n=MAX_REQUESTS, seed=11, release_horizon=1.0), "general")
-    oracle._cell_chunks.cache_clear()  # count the cell schedule it builds as well
+    oracle._layer_plan.cache_clear()  # count the layer plan it builds as well
     tracemalloc.start()
     try:
         opt_makespan(inst)
