@@ -302,9 +302,13 @@ class SemilineCountAdversary(Adversary):
 
 def make_adversary(name: str, epsilon: Optional[float] = None) -> Adversary:
     """Build a construction from its CLI name.  Only ``ring-closed-count`` and
-    ``star-count`` take an epsilon, as a ``:EPS`` suffix or ``epsilon`` (default 0.5)."""
+    ``star-count`` take an epsilon, as a ``:EPS`` suffix or ``epsilon`` (default
+    0.5), not both."""
     base, _, suffix = name.partition(":")
     if suffix:
+        if epsilon is not None:
+            raise ValueError(f"adversary {name!r} takes its epsilon from the suffix; "
+                             f"got epsilon {epsilon!r} as well")
         epsilon = float(suffix)
     if base == "ring-closed-count":
         return RingClosedCountAdversary(epsilon if epsilon is not None else 0.5)

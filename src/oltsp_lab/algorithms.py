@@ -29,7 +29,7 @@ from .engine import (
 )
 from .instance import CLOSED, MAX_REQUESTS, OPEN, Instance, Request
 from .metric import EPS, Point, distance_table
-from .oracle import lex_orders
+from .oracle import lex_tree
 
 ALG1_CAP = 9
 EXACT_KNAPSACK_CAP = 20
@@ -203,12 +203,18 @@ class Alg1General(Route):
     t >= length/2 and a fully released prefix covering half its length.  The
     requests an order reaches before its halfway point are its needed set;
     orders with the same needed set share the prefix condition, so the
-    threshold is kept per needed set S as the least length/2 among the orders
-    that need S: at most 2^n entries instead of n!.  The policy waits for a
-    release while no needed set is fully released, and otherwise until the
-    least length/2 among the fully released sets.  No release term is needed:
-    a set is fully released only once its latest release is due, at most
-    ``now + EPS``, so that release can never hold the start back.
+    threshold depends only on which requests are released: ``start_at[R]``
+    is the least length/2 among the orders whose needed set lies in the
+    released set R (inf if none), 2^n entries instead of n!.  The policy
+    waits for a release while that is inf, and otherwise until it.  No
+    release term is needed: a set is fully released only once its latest
+    release is due, at most ``now + EPS``, so that release can never hold
+    the start back.
+
+    The orders are the leaves of :func:`oracle.lex_tree`, whose level k holds
+    each distinct first k + 1 stops once, so a distance shared by (n-k-1)!
+    orders is summed once, by the same float additions as an order's own
+    fold.  Only the lengths and half lengths are kept per order.
     """
 
     name = "alg1"
@@ -229,39 +235,47 @@ class Alg1General(Route):
         pts = [self.points[i + 1] for i in range(n)]
         d0, dret, dmat = (np.array(t) for t in distance_table(ctx.space, pts))
 
-        # Per order (a column of the table): the distance on reaching each stop.
-        # The distances between stops are summed in sequence and the one from
-        # the origin is added last; this order of additions fixes the floats.
-        perms = lex_orders(n)
-        prefix = np.empty(perms.shape)
-        prefix[0] = d0[perms[0]]
-        between = np.zeros(perms.shape[1])
-        for k in range(1, n):
-            between += dmat.ravel()[perms[k - 1] * n + perms[k]]
-            np.add(between, prefix[0], out=prefix[k])
-        ell = prefix[-1].copy()
+        # Per node of the order tree: the distance on reaching its stop.  The
+        # distances between stops are summed in sequence and the one from the
+        # origin is added last; this order of additions fixes the floats.
+        levels = lex_tree(n)
+        d0 = d0.reshape(n, 1, 1)  # level 0: node a stops at a
+        prefix = [d0]
+        between = np.zeros((n, 1, 1))
+        for _, legs in levels[1:]:
+            between = (between + dmat.take(legs)).reshape(n, -1, 1)
+            prefix.append(between + d0)
+        # Per order (a leaf of the tree): its length.
+        ell = prefix[-1]
         if ctx.variant == CLOSED:
-            ell += dret[perms[-1]]
+            ell = ell + dret.take(levels[-1][0])
+        ell = ell.ravel()
         half = ell / 2
-        # Per order: the requests it reaches before its halfway point, as a bitmask.
-        needed = np.zeros(perms.shape[1], dtype=np.int64)
-        for k in range(n):
-            needed |= (prefix[k] < half) << perms[k]
+        # Per order: the requests it reaches before its halfway point, as a
+        # bitmask.  A node is compared with its block of leaves, a broadcast.
+        needed = np.zeros(len(ell), dtype=np.int16)
+        for (stops, _), p in zip(levels, prefix):
+            shape = p.shape[:2] + (-1,)
+            block = needed.reshape(shape)
+            block |= (p < half.reshape(shape)) << stops
         # Per needed set: the least half length among the orders that need it.
-        min_half = np.full(1 << n, np.inf)
-        np.minimum.at(min_half, needed, half)
-        self.need_sets = np.flatnonzero(min_half < np.inf)
-        self.min_half = min_half[self.need_sets]
-        self.perms, self.prefix, self.ell = perms, prefix, ell
+        # Then per released set: the least of these over the needed sets it
+        # holds (inf if none), one bit at a time, so a decision reads one entry.
+        start_at = np.full(1 << n, np.inf)
+        np.minimum.at(start_at, needed, half)
+        for j in range(n):
+            pairs = start_at.reshape(-1, 2, 1 << j)  # [high bits, bit j, low bits]
+            np.minimum(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
+        self.start_at = start_at
+        self.levels, self.prefix, self.ell = levels, prefix, ell
 
     def _waiting_step(self, obs: Observation) -> Optional[Action]:
         released_bits = 0
         for rid in obs.released:
             released_bits |= 1 << (rid - 1)
-        ok = (self.need_sets & ~released_bits) == 0
-        if not ok.any():
+        best = float(self.start_at[released_bits])
+        if best == math.inf:
             return WaitForRelease(None)
-        best = float(self.min_half[ok].min())
         if best > obs.now + EPS:
             return WaitUntil(best)
         self._commit(obs, released_bits)
@@ -270,16 +284,23 @@ class Alg1General(Route):
     def _commit(self, obs: Observation, released_bits: int) -> None:
         n = self.ctx.n
         unreleased = np.array([not released_bits & (1 << i) for i in range(n)])
-        # The distance into each order's first unreleased stop, or its length.
+        # The distance into each order's first unreleased stop, or its length
+        # when all are released.  That stop lies at most as deep as the number
+        # of released stops; deeper levels are written first, so the write of
+        # the first unreleased stop is the one that stays.
         num = self.ell.copy()
-        for k in reversed(range(n)):
-            np.copyto(num, self.prefix[k], where=unreleased[self.perms[k]])
-        with np.errstate(invalid="ignore", divide="ignore"):
-            a = np.where(self.ell > 0, num / self.ell, 1.0)
-        beta = np.minimum(a, 0.5)
+        released = bin(released_bits).count("1")
+        for k in reversed(range(released + 1 if released < n else 0)):
+            p = self.prefix[k]
+            np.copyto(num.reshape(p.shape[:2] + (-1,)), p, where=unreleased[self.levels[k][0]])
+        # num <= ell, so num / ell is 0 / 0 only for an order of length 0;
+        # fmin passes over that nan and takes 1/2, as for any ratio >= 1/2.
+        with np.errstate(invalid="ignore"):
+            beta = np.fmin(num / self.ell, 0.5)
         objective = (1.0 - beta) * self.ell
         i1 = int(np.argmin(objective))  # ties: lexicographically first order
-        self.order = [int(r) + 1 for r in self.perms[:, i1]]
+        self.order = [int(stops.flat[i1 // (len(num) // stops.size)]) + 1
+                      for stops, _ in self.levels]
         self.chosen_t = obs.now
         self.chosen_objective = float(objective[i1])
 

@@ -20,6 +20,8 @@ row.  A factorial brute force over the same fold serves as an independent
 cross-check.  It folds every order at once, one position at a time, over a
 cached table of all orders in lexicographic order (at n = 10 in blocks of 9!
 orders, one per leading request), and shares no code with the dynamic program.
+It alone reads that table; alg1 walks the same orders as a tree, one array per
+position (:func:`lex_tree`).
 """
 from __future__ import annotations
 
@@ -192,7 +194,8 @@ def _order_blocks(n: int):
 def lex_orders(n: int) -> np.ndarray:
     """Every order of range(n) as a column of an (n, n!) read-only table, in
     lexicographic order: row k holds the request at position k.  Built from
-    the n - 1 table, one block per leading request; no list of n! tuples."""
+    the n - 1 table, one block per leading request; no list of n! tuples.
+    Only the brute force reads it."""
     if n == 0:
         table = np.zeros((0, 1), dtype=np.intp)
     else:
@@ -202,6 +205,35 @@ def lex_orders(n: int) -> np.ndarray:
             _fill_led_by(block, a, sub)
     table.flags.writeable = False
     return table
+
+
+@lru_cache(maxsize=None)
+def lex_tree(n: int) -> tuple:
+    """The orders of range(n) in lexicographic order as a tree, one level per
+    position, without the (n, n!) table.  Level k has a node for each distinct
+    first k + 1 stops, in order: its stops are ``lex_orders(n)[k, ::(n - k -
+    1)!]``, node i's parent is node ``i // (n - k)`` one level up, and its
+    leaves are the (n - k - 1)! orders from ``i * (n - k - 1)!`` on.  Level k
+    is ``(stops, legs)``.  The int16 stops are shaped (n, nodes / n, 1), one
+    row per leading request, so that they broadcast against the leaves viewed
+    as (n, nodes / n, (n - k - 1)!).  From level 1 on, the int16 legs
+    ``parent stop * n + stop``, flat indices into an (n, n) table, are shaped
+    (n, parents / n, n - k): one row of children per parent.  Built from the
+    n - 1 tree, one block per leading request, as :func:`lex_orders` is."""
+    if n == 0:
+        return ()
+    others = np.array([np.delete(np.arange(n), a) for a in range(n)], dtype=np.int16)
+    levels = [(np.arange(n, dtype=np.int16).reshape(n, 1, 1), None)]
+    for k, (sub, _) in enumerate(lex_tree(n - 1), start=1):
+        stops = others[:, sub.ravel()].reshape(n, -1, 1)  # row a: the nodes led by a
+        parents = levels[-1][0]
+        legs = parents * n + stops.reshape(parents.shape[:2] + (n - k,))
+        levels.append((stops, legs))
+    for stops, legs in levels:
+        stops.flags.writeable = False
+        if legs is not None:
+            legs.flags.writeable = False
+    return tuple(levels)
 
 
 def _fill_led_by(block: np.ndarray, a: int, sub: np.ndarray) -> None:

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -21,6 +22,7 @@ from oltsp_lab import (
     verify_outcome,
 )
 from oltsp_lab.algorithms import (
+    ALG1_CAP,
     Alg1General,
     Alg2Ring,
     Alg3Star,
@@ -31,6 +33,7 @@ from oltsp_lab.algorithms import (
 )
 from oltsp_lab.engine import MoveTo, SimulationError, WaitForRelease, WaitUntil
 from oltsp_lab.metric import EPS, General, Ring, SemiLine, Star, distance_table
+from oltsp_lab.oracle import lex_tree
 
 
 def ratio_ok(completion, opt, bound, slack=1e-9):
@@ -187,17 +190,49 @@ def _alg1_choice(pol):
     return pol.chosen_t, pol.order, getattr(pol, "chosen_objective", None)
 
 
+ALG1_KINDS = [("general", {}), ("general", {"asymmetric": True}), ("line", {}),
+              ("star", {"ray_count": 3}), ("ring", {}), ("semiline", {})]
+
+
 @settings(max_examples=200, deadline=None)
-@given(tie_heavy_instances(
-    [("general", {}), ("general", {"asymmetric": True}), ("line", {}), ("star", {"ray_count": 3}),
-     ("ring", {}), ("semiline", {})],
-    max_n=7,
-))
+@given(tie_heavy_instances(ALG1_KINDS, max_n=7))
 def test_alg1_threshold_per_needed_set_matches_per_order(inst):
     ref, pol = PerOrderAlg1(), Alg1General()
     ref_out, out = simulate(inst, ref), simulate(inst, pol)
     assert _alg1_choice(pol) == _alg1_choice(ref)
     assert out.completion == ref_out.completion
+
+
+@pytest.mark.parametrize("kind,sp", ALG1_KINDS)
+def test_alg1_matches_per_order_at_eight_and_nine(kind, sp):
+    for n in (8, 9):
+        for variant in (OPEN, CLOSED):
+            inst = generate_random(
+                GenParams(n=n, seed=7900 + n, release_horizon=1.5, space_params=sp),
+                kind, variant=variant,
+            )
+            points = [r.point for r in inst.requests]
+            if variant == CLOSED:  # pairs of requests share a point
+                points = [points[j - j % 2] for j in range(n)]
+            releases = [r.release for r in inst.requests]
+            inst = make_instance(inst.space, variant, list(zip(sorted(points), releases)))
+            ref, pol = PerOrderAlg1(), Alg1General()
+            ref_out, out = simulate(inst, ref), simulate(inst, pol)
+            assert _alg1_choice(pol) == _alg1_choice(ref), (kind, n, variant)
+            assert out.completion == ref_out.completion, (kind, n, variant)
+
+
+def test_alg1_memory_bounded_at_cap():
+    inst = generate_random(GenParams(n=ALG1_CAP, seed=11, release_horizon=1.0), "general",
+                           variant=CLOSED)
+    lex_tree.cache_clear()  # count the order tree it builds as well
+    tracemalloc.start()
+    try:
+        simulate(inst, Alg1General())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
 
 
 def _run(inst, policy):

@@ -226,6 +226,8 @@ def test_usage_error_exit_code(tmp_path, capsys):
         ["adversary", "--name", "ring-open:0.3", "--policy", "greedy"],
         ["adversary", "--name", "semiline-open-count", "--epsilon", "0.3",
          "--policy", "greedy"],
+        # an epsilon given both as a suffix and as --epsilon
+        ["adversary", "--name", "star-count:0.5", "--epsilon", "0.25", "--policy", "greedy"],
         # more requests than the policy's cap
         ["batch", "--kind", "semiline", "--variant", "open", "--policy", "alg1",
          "--count", "1", "--seed", "1", "--n", "10"],

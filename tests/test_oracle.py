@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,7 @@ from oltsp_lab import (
     oracle,
 )
 from oltsp_lab.metric import General, Ring, SemiLine
-from oltsp_lab.oracle import BRUTE_CAP, OptResult, lex_orders
+from oltsp_lab.oracle import BRUTE_CAP, OptResult, lex_orders, lex_tree
 
 KINDS = [
     ("semiline", {}),
@@ -197,6 +198,19 @@ def test_order_table_is_lexicographic():
         table = lex_orders(n)
         assert table.T.tolist() == [list(p) for p in itertools.permutations(range(n))]
         assert not table.flags.writeable
+
+
+def test_order_tree_levels_are_order_table_rows():
+    for n in range(10):
+        table, tree = lex_orders(n), lex_tree(n)
+        assert len(tree) == n
+        for k, (stops, legs) in enumerate(tree):
+            assert stops.ravel().tolist() == table[k, ::math.factorial(n - k - 1)].tolist()
+            assert not stops.flags.writeable
+            if k:  # node i's parent is node i // (n - k) one level up
+                parents = tree[k - 1][0].ravel()[np.arange(stops.size) // (n - k)]
+                assert legs.ravel().tolist() == (parents * n + stops.ravel()).tolist()
+                assert not legs.flags.writeable
 
 
 @pytest.mark.parametrize("kind,sp", KINDS)
