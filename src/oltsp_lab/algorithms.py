@@ -195,6 +195,39 @@ def _knapsack_fptas(items, capacity, eps) -> KnapsackResult:
 
 # alg1: order enumeration for any metric, both variants --------------------------
 
+
+class Alg1Workspace:
+    """The n!-long arrays of one alg1 run over n requests, reused from run to
+    run so that a run allocates (and the kernel maps in) none of them afresh.
+
+    ``prefix[k]`` holds level k of :func:`oracle.lex_tree`, one distance per
+    node, shaped like its stops; ``grids[k]`` is the same memory shaped like
+    its legs, one row of children per parent.  ``ell`` takes a closed run's
+    lengths (an open run's are ``prefix[-1]``), ``half`` the half lengths and
+    then the commit's objective, the int16 ``needed`` the needed sets and
+    the int16 ``bits`` one level's share of them.  ``blocks[k]`` views
+    ``half``, ``bits`` and ``needed`` as (n, nodes / n, leaves per node), so
+    that level k broadcasts against them.
+    """
+
+    def __init__(self, n: int):
+        self.levels = levels = lex_tree(n)
+        size = math.factorial(n)
+        self.ell, self.half = np.empty(size), np.empty(size)
+        self.needed, self.bits = np.empty(size, np.int16), np.empty(size, np.int16)
+        self.prefix = [np.empty(stops.shape) for stops, _ in levels]
+        self.grids = [None] + [p.reshape(legs.shape)
+                               for p, (_, legs) in zip(self.prefix[1:], levels[1:])]
+        self.blocks = [tuple(a.reshape(stops.shape[:2] + (-1,))
+                             for a in (self.half, self.bits, self.needed))
+                       for stops, _ in levels]
+
+
+# One spare workspace per n: a run takes it in ``begin`` and puts it back in
+# ``_commit``, so two runs in flight never share one.
+ALG1_SPARES: Dict[int, Alg1Workspace] = {}
+
+
 class Alg1General(Route):
     """Wait at the origin until the start threshold, then commit to the order
     minimizing (1 - beta) * length and follow it, waiting at unreleased stops.
@@ -214,7 +247,11 @@ class Alg1General(Route):
     The orders are the leaves of :func:`oracle.lex_tree`, whose level k holds
     each distinct first k + 1 stops once, so a distance shared by (n-k-1)!
     orders is summed once, by the same float additions as an order's own
-    fold.  Only the lengths and half lengths are kept per order.
+    fold.  Every per-node and per-order array lives in an
+    :class:`Alg1Workspace`: ``begin`` takes the spare one for n from
+    ``ALG1_SPARES`` (or builds one) and writes every result into it;
+    ``_commit`` puts it back once it has read the chosen order.  A run that
+    never commits keeps its workspace, which is freed with the policy.
     """
 
     name = "alg1"
@@ -234,40 +271,48 @@ class Alg1General(Route):
             return
         pts = [self.points[i + 1] for i in range(n)]
         d0, dret, dmat = (np.array(t) for t in distance_table(ctx.space, pts))
+        ws = self.ws = ALG1_SPARES.pop(n, None) or Alg1Workspace(n)
+        levels, prefix = ws.levels, ws.prefix
 
         # Per node of the order tree: the distance on reaching its stop.  The
         # distances between stops are summed in sequence and the one from the
         # origin is added last; this order of additions fixes the floats.
-        levels = lex_tree(n)
+        # Each level first holds the legs between stops summed so far, which
+        # the next level adds to its own legs; once every level is summed,
+        # each gets the leg from the origin.  The indices are in range; a mode
+        # other than "raise" lets take write in place.
         d0 = d0.reshape(n, 1, 1)  # level 0: node a stops at a
-        prefix = [d0]
-        between = np.zeros((n, 1, 1))
-        for _, legs in levels[1:]:
-            between = (between + dmat.take(legs)).reshape(n, -1, 1)
-            prefix.append(between + d0)
+        np.copyto(prefix[0], d0)
+        between = 0.0
+        for (_, legs), grid, p in zip(levels[1:], ws.grids[1:], prefix[1:]):
+            dmat.take(legs, out=grid, mode="clip")
+            grid += between
+            between = p
+        for p in prefix[1:]:
+            p += d0
         # Per order (a leaf of the tree): its length.
-        ell = prefix[-1]
+        ell = prefix[-1].ravel()
         if ctx.variant == CLOSED:
-            ell = ell + dret.take(levels[-1][0])
-        ell = ell.ravel()
-        half = ell / 2
+            dret.take(levels[-1][0], out=ws.ell.reshape(prefix[-1].shape), mode="clip")
+            ell = np.add(ws.ell, ell, out=ws.ell)
+        self.ell = ell
+        half = np.divide(ell, 2, out=ws.half)
         # Per order: the requests it reaches before its halfway point, as a
         # bitmask.  A node is compared with its block of leaves, a broadcast.
-        needed = np.zeros(len(ell), dtype=np.int16)
-        for (stops, _), p in zip(levels, prefix):
-            shape = p.shape[:2] + (-1,)
-            block = needed.reshape(shape)
-            block |= (p < half.reshape(shape)) << stops
+        ws.needed.fill(0)
+        for (stops, _), p, (half_k, bits, needed) in zip(levels, prefix, ws.blocks):
+            np.less(p, half_k, out=bits)
+            np.left_shift(bits, stops, out=bits)
+            needed |= bits
         # Per needed set: the least half length among the orders that need it.
         # Then per released set: the least of these over the needed sets it
         # holds (inf if none), one bit at a time, so a decision reads one entry.
         start_at = np.full(1 << n, np.inf)
-        np.minimum.at(start_at, needed, half)
+        np.minimum.at(start_at, ws.needed, half)
         for j in range(n):
             pairs = start_at.reshape(-1, 2, 1 << j)  # [high bits, bit j, low bits]
             np.minimum(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
         self.start_at = start_at
-        self.levels, self.prefix, self.ell = levels, prefix, ell
 
     def _waiting_step(self, obs: Observation) -> Optional[Action]:
         released_bits = 0
@@ -282,27 +327,33 @@ class Alg1General(Route):
         return None
 
     def _commit(self, obs: Observation, released_bits: int) -> None:
-        n = self.ctx.n
+        n, ws, ell = self.ctx.n, self.ws, self.ell
         unreleased = np.array([not released_bits & (1 << i) for i in range(n)])
         # The distance into each order's first unreleased stop, or its length
         # when all are released.  That stop lies at most as deep as the number
         # of released stops; deeper levels are written first, so the write of
-        # the first unreleased stop is the one that stays.
-        num = self.ell.copy()
+        # the first unreleased stop is the one that stays.  It goes where the
+        # half lengths were: begin is done with them.
+        num = ws.half
+        np.copyto(num, ell)
         released = bin(released_bits).count("1")
         for k in reversed(range(released + 1 if released < n else 0)):
-            p = self.prefix[k]
-            np.copyto(num.reshape(p.shape[:2] + (-1,)), p, where=unreleased[self.levels[k][0]])
+            np.copyto(ws.blocks[k][0], ws.prefix[k], where=unreleased[ws.levels[k][0]])
         # num <= ell, so num / ell is 0 / 0 only for an order of length 0;
         # fmin passes over that nan and takes 1/2, as for any ratio >= 1/2.
+        # Then the objective (1 - beta) * ell, all in place.
         with np.errstate(invalid="ignore"):
-            beta = np.fmin(num / self.ell, 0.5)
-        objective = (1.0 - beta) * self.ell
+            np.divide(num, ell, out=num)
+        np.fmin(num, 0.5, out=num)
+        np.subtract(1.0, num, out=num)
+        objective = np.multiply(num, ell, out=num)
         i1 = int(np.argmin(objective))  # ties: lexicographically first order
         self.order = [int(stops.flat[i1 // (len(num) // stops.size)]) + 1
-                      for stops, _ in self.levels]
+                      for stops, _ in ws.levels]
         self.chosen_t = obs.now
         self.chosen_objective = float(objective[i1])
+        del self.ws, self.ell
+        ALG1_SPARES[n] = ws
 
     def _tour_step(self, obs: Observation) -> Action:
         return follow(obs, self.ctx.space, self.order, self.points)

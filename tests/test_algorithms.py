@@ -23,6 +23,7 @@ from oltsp_lab import (
 )
 from oltsp_lab.algorithms import (
     ALG1_CAP,
+    ALG1_SPARES,
     Alg1General,
     Alg2Ring,
     Alg3Star,
@@ -222,17 +223,58 @@ def test_alg1_matches_per_order_at_eight_and_nine(kind, sp):
             assert out.completion == ref_out.completion, (kind, n, variant)
 
 
-def test_alg1_memory_bounded_at_cap():
-    inst = generate_random(GenParams(n=ALG1_CAP, seed=11, release_horizon=1.0), "general",
+def _at_cap(seed):
+    return generate_random(GenParams(n=ALG1_CAP, seed=seed, release_horizon=1.0), "general",
                            variant=CLOSED)
-    lex_tree.cache_clear()  # count the order tree it builds as well
+
+
+def _traced_peak(inst):
     tracemalloc.start()
     try:
         simulate(inst, Alg1General())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 40 * 2**20
+    return peak
+
+
+def test_alg1_memory_bounded_at_cap():
+    lex_tree.cache_clear()  # count the order tree it builds as well
+    ALG1_SPARES.clear()  # and the workspace
+    assert _traced_peak(_at_cap(11)) < 40 * 2**20
+
+
+def test_alg1_warm_run_allocates_no_workspace():
+    simulate(_at_cap(11), Alg1General())  # leaves the spare workspace for n = 9
+    assert _traced_peak(_at_cap(12)) < 4 * 2**20
+
+
+def _alg1_arrays(pol):
+    ws = pol.ws
+    return [a.copy() for a in (pol.start_at, *ws.prefix, ws.ell, ws.half, ws.needed, ws.bits)]
+
+
+def test_alg1_workspaces_are_exclusive():
+    """A second run that starts and commits while the first one waits gets a
+    workspace of its own: the first run's arrays and choice are untouched."""
+    first, second = _at_cap(21), _at_cap(22)
+    alone = Alg1General()
+    alone_out = simulate(first, alone)  # also leaves the spare workspace for n = 9
+    seen = []
+
+    class Interleaved(Alg1General):
+        def begin(self, ctx):
+            super().begin(ctx)
+            before = _alg1_arrays(self)
+            simulate(second, Alg1General())
+            seen.append((before, _alg1_arrays(self)))
+
+    pol = Interleaved()
+    out = simulate(first, pol)
+    (before, after), = seen
+    assert [a.tobytes() for a in before] == [a.tobytes() for a in after]
+    assert _alg1_choice(pol) == _alg1_choice(alone)
+    assert out.completion == alone_out.completion
 
 
 def _run(inst, policy):
