@@ -16,7 +16,7 @@ from .engine import (
     Emission,
     Outcome,
     Policy,
-    check_completion,
+    Scenario,
     competitive_ratio,
     simulate,
 )
@@ -43,29 +43,31 @@ class AdversaryRun:
     outcome: Outcome
 
 
-def run_adversary(adversary: Adversary, policy: Policy) -> AdversaryRun:
-    out = simulate(adversary, policy)
-    inst = materialize(adversary, out)
+def run_adversary(scenario: Scenario, policy: Policy) -> AdversaryRun:
+    """Run ``policy`` on ``scenario`` and make its claim.  A fixed instance is
+    an adversary that announced everything: ``materialize`` gives a valid one
+    back as it was, up to the order of points within EPS of each other."""
+    out = simulate(scenario, policy)
+    inst = materialize(scenario, out)
     if inst.n > MAX_REQUESTS:
         return AdversaryRun(inst, out.completion, None, None, out)
     opt = opt_makespan(inst).makespan
-    check_completion(out.completion, opt)
     return AdversaryRun(inst, out.completion, opt, competitive_ratio(out.completion, opt), out)
 
 
-def materialize(adversary: Adversary, out: Outcome) -> Instance:
+def materialize(scenario: Scenario, out: Outcome) -> Instance:
     """The realized releases as a fixed instance (position-sorted where the
     instance format requires it)."""
     reqs = list(out.realized)
-    key = position_key(adversary.space)
+    key = position_key(scenario.space)
     if key is not None:
         reqs.sort(key=key)
     reqs = [Request(i + 1, r.point, r.release) for i, r in enumerate(reqs)]
     return Instance(
-        space=adversary.space,
-        variant=adversary.variant,
+        space=scenario.space,
+        variant=scenario.variant,
         requests=tuple(reqs),
-        knowledge=adversary.knowledge,
+        knowledge=scenario.knowledge,
     )
 
 

@@ -8,23 +8,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from . import adversaries as adv_mod
 from . import algorithms as alg_mod
-from .engine import (
-    Outcome,
-    PairingError,
-    SimulationError,
-    check_completion,
-    check_pairing,
-    competitive_ratio,
-    outcome_to_text,
-    simulate,
-    verify_outcome,
-)
+from .engine import PairingError, Scenario, SimulationError, check_pairing, verify_outcome
 from .instance import (
     CLOSED,
     COUNT_KNOWN,
@@ -33,9 +24,12 @@ from .instance import (
     LOCATIONS_KNOWN,
     MAX_REQUESTS,
     OPEN,
+    check_horizon,
     decode,
     encode,
+    format_number,
     generate_random,
+    outcome_to_text,
     validate_instance,
 )
 from .metric import EPS, SPACE_KINDS
@@ -43,10 +37,6 @@ from .oracle import opt_makespan
 
 USAGE_ERROR = 2
 BOUND_ERROR = 1
-
-
-def _num(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 @dataclass
@@ -58,11 +48,17 @@ class BatchRow:
     ratio: float
 
 
+def within_bound(rows: Sequence[BatchRow], bound: Optional[float]) -> bool:
+    """The verdict on ``rows``: no bound, or a largest ratio (0 without rows)
+    of at most ``bound`` + EPS."""
+    return bound is None or max((r.ratio for r in rows), default=0.0) <= bound + EPS
+
+
 def report(rows: Sequence[BatchRow], fmt: str, bound: Optional[float],
            params: Optional[dict] = None) -> str:
     max_ratio = max((r.ratio for r in rows), default=0.0)
     mean_ratio = sum(r.ratio for r in rows) / len(rows) if rows else 0.0
-    passed = bound is None or max_ratio <= bound + EPS
+    passed = within_bound(rows, bound)
     if fmt == "json":
         doc = {
             "params": params or {},
@@ -92,10 +88,12 @@ def report(rows: Sequence[BatchRow], fmt: str, bound: Optional[float],
         lines.append(f"# {pairs}")
     lines.append("id,policy,alg,opt,ratio")
     for r in rows:
-        lines.append(f"{r.seed},{r.policy},{_num(r.alg)},{_num(r.opt)},{_num(r.ratio)}")
+        cells = (format_number(x) for x in (r.alg, r.opt, r.ratio))
+        lines.append(f"{r.seed},{r.policy}," + ",".join(cells))
     summary = (
-        f"# summary max_ratio={_num(max_ratio)} mean_ratio={_num(mean_ratio)} "
-        f"bound={_num(bound) if bound is not None else 'none'} "
+        f"# summary max_ratio={format_number(max_ratio)} "
+        f"mean_ratio={format_number(mean_ratio)} "
+        f"bound={format_number(bound) if bound is not None else 'none'} "
         f"result={'pass' if passed else 'fail'}"
     )
     lines.append(summary)
@@ -113,32 +111,35 @@ def _read_instance(path: str) -> Optional[Instance]:
     return inst
 
 
-def _feasible(inst: Instance, out: Outcome, where: str = "") -> bool:
-    """Whether ``out`` passes ``verify_outcome``; prints the issues if not."""
-    bad = verify_outcome(inst, out)
+def _claim(scenario: Scenario, policy: str, where: str = "") -> Optional[adv_mod.AdversaryRun]:
+    """The claim of ``policy`` on ``scenario``, or None after printing why its
+    run is infeasible."""
+    run = adv_mod.run_adversary(scenario, alg_mod.make_policy(policy))
+    # Checked against the realized releases under the engine's ids, which
+    # ``run.materialized`` renumbers by position.
+    realized = Instance(scenario.space, scenario.variant, run.outcome.realized)
+    bad = verify_outcome(realized, run.outcome)
     if bad:
         print(f"{where}infeasible outcome: " + "; ".join(bad), file=sys.stderr)
-    return not bad
+        return None
+    return run
 
 
 def _cmd_simulate(args) -> int:
     inst = _read_instance(args.instance)
     if inst is None:
         return BOUND_ERROR
-    out = simulate(inst, alg_mod.make_policy(args.policy))
-    if not _feasible(inst, out):
+    run = _claim(inst, args.policy)
+    if run is None:
         return BOUND_ERROR
-    line = f"completion {_num(out.completion)}"
-    if inst.n <= MAX_REQUESTS:
-        opt = opt_makespan(inst).makespan
-        check_completion(out.completion, opt)
-        if opt > EPS:
-            line += f", opt {_num(opt)}, ratio {_num(competitive_ratio(out.completion, opt))}"
-        else:
-            line += f", opt {_num(opt)}"
+    line = f"completion {format_number(run.forced_completion)}"
+    if run.opt_completion is not None:
+        line += f", opt {format_number(run.opt_completion)}"
+        if run.opt_completion > EPS:
+            line += f", ratio {format_number(run.forced_ratio)}"
     print(line)
     if args.trace:
-        print(outcome_to_text(out, inst.space), end="")
+        print(outcome_to_text(run.outcome), end="")
     return 0
 
 
@@ -148,8 +149,8 @@ def _cmd_oracle(args) -> int:
         return BOUND_ERROR
     res = opt_makespan(inst)
     order = ",".join(str(i) for i in res.order)
-    times = ",".join(_num(t) for t in res.per_step_times)
-    print(f"makespan {_num(res.makespan)}")
+    times = ",".join(format_number(t) for t in res.per_step_times)
+    print(f"makespan {format_number(res.makespan)}")
     print(f"order {order}")
     print(f"service_times {times}")
     return 0
@@ -196,23 +197,22 @@ def _cmd_batch(args) -> int:
     knowledge = COUNT_KNOWN if args.count_known else LOCATIONS_KNOWN
     # Refused before any instance is drawn, even when --count is 0.
     check_pairing(alg_mod.make_policy(args.policy), args.kind, args.variant, knowledge)
+    check_horizon(args.horizon)
+    if args.bound is not None and not math.isfinite(args.bound):
+        raise ValueError(f"bound must be finite, got {args.bound}")
     rows: List[BatchRow] = []
     for i in range(args.count):
         seed = args.seed + i
-        inst = _gen_instance(args, seed, knowledge)
-        policy = alg_mod.make_policy(args.policy)
-        out = simulate(inst, policy)
-        if not _feasible(inst, out, f"seed {seed}: "):
+        run = _claim(_gen_instance(args, seed, knowledge), args.policy, f"seed {seed}: ")
+        if run is None:
             return BOUND_ERROR
-        opt = opt_makespan(inst).makespan
-        check_completion(out.completion, opt)
-        ratio = competitive_ratio(out.completion, opt)
-        rows.append(BatchRow(seed, args.policy, out.completion, opt, ratio))
+        rows.append(BatchRow(seed, args.policy, run.forced_completion, run.opt_completion,
+                             run.forced_ratio))
     params = {
         "kind": args.kind, "variant": args.variant, "policy": args.policy,
         "count": args.count, "seed": args.seed, "n": args.n,
-        "horizon": _num(args.horizon),
-        "bound": _num(args.bound) if args.bound is not None else "none",
+        "horizon": format_number(args.horizon),
+        "bound": format_number(args.bound) if args.bound is not None else "none",
     }
     text = report(rows, args.format, args.bound, params)
     if args.out:
@@ -220,29 +220,22 @@ def _cmd_batch(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if args.bound is not None:
-        worst = [r for r in rows if r.ratio > args.bound + EPS]
-        if worst:
-            for r in worst[:5]:
-                print(f"bound violated at seed {r.seed}: ratio {_num(r.ratio)}",
-                      file=sys.stderr)
-            return BOUND_ERROR
-    return 0
+    if within_bound(rows, args.bound):
+        return 0
+    for r in [r for r in rows if not within_bound([r], args.bound)][:5]:
+        print(f"bound violated at seed {r.seed}: ratio {format_number(r.ratio)}", file=sys.stderr)
+    return BOUND_ERROR
 
 
 def _cmd_adversary(args) -> int:
-    adversary = adv_mod.make_adversary(args.name, args.epsilon)
-    run = adv_mod.run_adversary(adversary, alg_mod.make_policy(args.policy))
-    # Checked against the realized releases under the engine's ids, which
-    # ``run.materialized`` renumbers by position.
-    realized = Instance(adversary.space, adversary.variant, run.outcome.realized)
-    if not _feasible(realized, run.outcome):
+    run = _claim(adv_mod.make_adversary(args.name, args.epsilon), args.policy)
+    if run is None:
         return BOUND_ERROR
     if run.opt_completion is None:
         opt = f"opt unavailable (n={run.materialized.n} > oracle cap {MAX_REQUESTS})"
     else:
-        opt = f"opt {_num(run.opt_completion)}, ratio {_num(run.forced_ratio)}"
-    print(f"forced {_num(run.forced_completion)}, {opt}")
+        opt = f"opt {format_number(run.opt_completion)}, ratio {format_number(run.forced_ratio)}"
+    print(f"forced {format_number(run.forced_completion)}, {opt}")
     if args.dump_instance:
         with open(args.dump_instance, "w", encoding="utf-8") as fh:
             fh.write(encode(run.materialized))

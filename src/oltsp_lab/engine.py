@@ -19,8 +19,8 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
-from .instance import CLOSED, COUNT_KNOWN, LOCATIONS_KNOWN, Instance, Request, _num, _point_text
-from .metric import EPS, EdgePoint, MetricSpace, Point
+from .instance import CLOSED, COUNT_KNOWN, LOCATIONS_KNOWN, Instance, Request
+from .metric import EPS, MetricSpace, Point
 
 
 class SimulationError(RuntimeError):
@@ -408,42 +408,12 @@ def verify_outcome(inst: Instance, out: Outcome) -> list:
     return issues
 
 
-def check_completion(completion: float, opt: float) -> None:
-    """Raise when ``completion`` is below the offline optimum ``opt``, which no
-    feasible run can beat."""
-    if completion < opt - EPS:
-        raise SimulationError(f"completion {completion!r} is below the offline optimum {opt!r}")
-
-
 def competitive_ratio(completion: float, opt: float) -> float:
     """``completion / opt``; a zero optimum gives 1.0 for a zero completion and
-    infinity otherwise."""
+    infinity otherwise.  Raises :class:`SimulationError` when ``completion`` is
+    below the offline optimum ``opt``, which no feasible run can beat."""
+    if completion < opt - EPS:
+        raise SimulationError(f"completion {completion!r} is below the offline optimum {opt!r}")
     if opt > EPS:
         return completion / opt
     return 1.0 if completion <= EPS else float("inf")
-
-
-def outcome_to_text(out: Outcome, space: MetricSpace) -> str:
-    """Structured-text export: completion, services, waypoint triplets."""
-    lines = ["{"]
-    lines.append(f'  "completion": {_num(out.completion)},')
-    svc = ", ".join(f'"{rid}": {_num(t)}' for rid, t in sorted(out.services.items()))
-    lines.append(f'  "services": {{{svc}}},')
-    rows = []
-    for wp in out.trajectory.waypoints:
-        tag = wp.tag if wp.request_id is None else f"{wp.tag}:{wp.request_id}"
-        pt = _point_text(space.kind, _export_point(space, wp.point))
-        rows.append(f'    [{_num(wp.time)}, {pt}, "{tag}"]')
-    lines.append('  "trajectory": [')
-    lines.append(",\n".join(rows))
-    lines.append("  ]")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _export_point(space: MetricSpace, p: Point):
-    # Mid-edge points on general spaces round to the nearer endpoint for export.
-    if isinstance(p, EdgePoint):
-        half = space.matrix[p.a][p.b] / 2.0
-        return p.a if p.traveled <= half else p.b
-    return p

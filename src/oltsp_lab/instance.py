@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 from .metric import (
     EPS,
+    EdgePoint,
     General,
     Line,
     MetricSpace,
@@ -97,7 +98,8 @@ def validate_instance(inst: Instance) -> list:
 # Numbers are emitted with 17 significant digits so doubles round-trip exactly.
 
 
-def _num(x) -> str:
+def format_number(x) -> str:
+    """A number as every output prints it; FormatError when non-finite."""
     if isinstance(x, bool):
         raise FormatError("booleans are not numbers")
     if isinstance(x, int):
@@ -109,10 +111,10 @@ def _num(x) -> str:
 
 def _point_text(kind: str, point: Point) -> str:
     if kind in ("semiline", "line", "ring"):
-        return _num(float(point))
+        return format_number(float(point))
     if kind == "star":
         ray, depth = point
-        return f"[{ray}, {_num(float(depth))}]"
+        return f"[{ray}, {format_number(float(depth))}]"
     if kind == "general":
         return str(int(point))
     raise FormatError(f"unknown kind {kind}")
@@ -120,12 +122,12 @@ def _point_text(kind: str, point: Point) -> str:
 
 def _space_text(space: MetricSpace) -> str:
     if space.kind == "ring":
-        return f'{{"kind": "ring", "circumference": {_num(space.circumference)}}}'
+        return f'{{"kind": "ring", "circumference": {format_number(space.circumference)}}}'
     if space.kind == "star":
         return f'{{"kind": "star", "rayCount": {space.ray_count}}}'
     if space.kind == "general":
         rows = ", ".join(
-            "[" + ", ".join(_num(x) for x in row) + "]" for row in space.matrix
+            "[" + ", ".join(format_number(x) for x in row) + "]" for row in space.matrix
         )
         sym = "true" if space.symmetric else "false"
         return f'{{"kind": "general", "matrix": [{rows}], "symmetric": {sym}}}'
@@ -145,13 +147,40 @@ def encode(inst: Instance) -> str:
         body = []
         for req in inst.requests:
             pt = _point_text(inst.space.kind, req.point)
-            body.append(
-                f'    {{"id": {req.id}, "point": {pt}, "release": {_num(float(req.release))}}}'
-            )
+            release = format_number(float(req.release))
+            body.append(f'    {{"id": {req.id}, "point": {pt}, "release": {release}}}')
         lines.append(",\n".join(body))
         lines.append("  ]")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def outcome_to_text(out) -> str:
+    """Structured-text export of an engine ``Outcome``: completion, services,
+    waypoint triplets."""
+    space = out.trajectory.space
+    lines = ["{"]
+    lines.append(f'  "completion": {format_number(out.completion)},')
+    svc = ", ".join(f'"{rid}": {format_number(t)}' for rid, t in sorted(out.services.items()))
+    lines.append(f'  "services": {{{svc}}},')
+    rows = []
+    for wp in out.trajectory.waypoints:
+        tag = wp.tag if wp.request_id is None else f"{wp.tag}:{wp.request_id}"
+        pt = _point_text(space.kind, _export_point(space, wp.point))
+        rows.append(f'    [{format_number(wp.time)}, {pt}, "{tag}"]')
+    lines.append('  "trajectory": [')
+    lines.append(",\n".join(rows))
+    lines.append("  ]")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _export_point(space: MetricSpace, p: Point):
+    # Mid-edge points on general spaces round to the nearer endpoint for export.
+    if isinstance(p, EdgePoint):
+        half = space.matrix[p.a][p.b] / 2.0
+        return p.a if p.traveled <= half else p.b
+    return p
 
 
 def _require(obj, field_name: str, where: str = ""):
@@ -237,6 +266,12 @@ def decode(text: str) -> Instance:
 # Seeded generators ----------------------------------------------------------
 
 
+def check_horizon(horizon: float) -> None:
+    """Raise ValueError unless ``horizon`` is a finite release horizon >= 0."""
+    if not 0 <= horizon < math.inf:
+        raise ValueError(f"release horizon must be finite and >= 0, got {horizon}")
+
+
 def generate_random(params: GenParams, kind: str, variant: str = CLOSED,
                     knowledge: str = LOCATIONS_KNOWN) -> Instance:
     """Deterministic instance for (seed, params); positions uniform in the domain.
@@ -247,8 +282,7 @@ def generate_random(params: GenParams, kind: str, variant: str = CLOSED,
         raise ValueError("n must be >= 0")
     if params.n > MAX_REQUESTS:
         raise ValueError(f"n={params.n} exceeds the n<={MAX_REQUESTS} generation cap")
-    if not 0 <= params.release_horizon < math.inf:
-        raise ValueError(f"release horizon must be finite and >= 0, got {params.release_horizon}")
+    check_horizon(params.release_horizon)
     rng = random.Random(params.seed)
     sp = params.space_params
     n = params.n

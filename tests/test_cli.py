@@ -3,9 +3,11 @@ from dataclasses import replace
 
 import pytest
 
-from oltsp_lab import cli, decode, encode
+from oltsp_lab import CLOSED, OPEN, Instance, Request, adversaries, decode, encode
+from oltsp_lab import cli, validate_instance
 from oltsp_lab.cli import BatchRow, report, run_cli
 from oltsp_lab.engine import PairingError, SimulationError
+from oltsp_lab.metric import SemiLine
 
 
 @pytest.fixture
@@ -143,13 +145,13 @@ def test_adversary_past_oracle_cap_reports_no_optimum(capsys):
 
 
 def test_batch_completion_below_optimum_is_an_error(monkeypatch, capsys):
-    real = cli.opt_makespan
+    real = adversaries.opt_makespan
 
     def inflated(inst):
         res = real(inst)
         return replace(res, makespan=res.makespan + 1.0)
 
-    monkeypatch.setattr(cli, "opt_makespan", inflated)
+    monkeypatch.setattr(adversaries, "opt_makespan", inflated)
     code = run_cli([
         "batch", "--kind", "semiline", "--variant", "closed",
         "--policy", "alg5-semiline", "--count", "3", "--seed", "7", "--n", "4",
@@ -237,6 +239,17 @@ def test_usage_error_exit_code(tmp_path, capsys):
         ["adversary", "--name", "star-count:5e-324", "--policy", "greedy"],
         ["adversary", "--name", "ring-closed-count:0.004", "--policy", "greedy"],
         ["adversary", "--name", "star-count", "--epsilon", "0.004", "--policy", "greedy"],
+        # a non-finite bound or horizon, even when no instance is drawn
+        ["batch", "--kind", "line", "--bound", "nan", "--variant", "closed",
+         "--policy", "greedy", "--count", "1", "--seed", "1"],
+        ["batch", "--kind", "line", "--bound", "inf", "--format", "json",
+         "--variant", "closed", "--policy", "greedy", "--count", "1", "--seed", "1"],
+        ["batch", "--kind", "line", "--bound", "-inf", "--variant", "closed",
+         "--policy", "greedy", "--count", "0", "--seed", "1"],
+        ["batch", "--kind", "line", "--horizon", "inf", "--variant", "closed",
+         "--policy", "greedy", "--count", "0", "--seed", "1"],
+        ["batch", "--kind", "line", "--horizon", "nan", "--variant", "closed",
+         "--policy", "greedy", "--count", "0", "--seed", "1"],
     ):
         assert run_cli(argv) == 2, argv
         assert capsys.readouterr().out == "", argv
@@ -279,3 +292,68 @@ def test_report_single_row_and_json():
     doc = json.loads(report(rows, "json", bound=1.2))
     assert doc["summary"]["pass"] is False
     assert doc["rows"][0]["ratio"] == 1.5
+
+
+def test_empty_batch_verdict_decides_the_exit_code(capsys):
+    # no rows judge as a largest ratio of 0, which a bound of -1 fails
+    code = run_cli(["batch", "--kind", "semiline", "--variant", "closed",
+                    "--policy", "greedy", "--count", "0", "--seed", "1", "--bound", "-1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.splitlines()[-1].endswith("bound=-1 result=fail")
+    assert captured.err == ""
+
+
+def test_gen_count_knowledge_is_recorded_and_paired(tmp_path, capsys):
+    path = tmp_path / "count.json"
+    assert run_cli(["gen", "--kind", "semiline", "--n", "4", "--seed", "2",
+                    "--knowledge", "count", "--out", str(path)]) == 0
+    assert '"knowledge": "count"' in path.read_text()
+    assert decode(path.read_text()).knowledge == "count"
+    assert run_cli(["simulate", "--instance", str(path), "--policy", "alg1"]) == 2
+    assert "needs known locations" in capsys.readouterr().err
+    assert run_cli(["simulate", "--instance", str(path), "--policy", "greedy"]) == 0
+    assert capsys.readouterr().out.startswith("completion ")
+
+
+def test_batch_count_known(capsys):
+    argv = ["batch", "--kind", "star", "--variant", "closed", "--count", "5", "--seed", "1"]
+    assert run_cli(argv + ["--policy", "alg1", "--count-known"]) == 2
+    assert capsys.readouterr().out == ""
+    assert run_cli(argv + ["--policy", "wait-all", "--count-known"]) == 0
+    count_known = capsys.readouterr().out
+    assert run_cli(argv + ["--policy", "wait-all"]) == 0
+    assert count_known == capsys.readouterr().out
+
+
+def test_adversary_dump_instance_replays_in_the_oracle(tmp_path, capsys):
+    path = tmp_path / "forced.json"
+    assert run_cli(["adversary", "--name", "semiline-open-loc", "--policy", "alg4-semiline",
+                    "--dump-instance", str(path)]) == 0
+    forced = capsys.readouterr().out.strip()
+    opt = forced.split(", ")[1]
+    assert opt.startswith("opt ")
+    inst = decode(path.read_text())
+    assert inst.n == 4
+    assert validate_instance(inst) == []
+    assert run_cli(["oracle", "--instance", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "makespan " + opt[len("opt "):]
+
+
+def test_simulate_past_oracle_cap_prints_completion_only(tmp_path, capsys):
+    reqs = tuple(Request(i + 1, i / 10, 0.0) for i in range(19))
+    path = tmp_path / "big.json"
+    path.write_text(encode(Instance(SemiLine(), OPEN, reqs)))
+    assert run_cli(["simulate", "--instance", str(path), "--policy", "greedy"]) == 0
+    assert capsys.readouterr().out == "completion 1.8\n"
+    assert run_cli(["oracle", "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "oracle cap exceeded" in captured.err
+
+
+def test_simulate_zero_optimum_prints_no_ratio(tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    path.write_text(encode(Instance(SemiLine(), CLOSED, (Request(1, 0.0, 0.0),))))
+    assert run_cli(["simulate", "--instance", str(path), "--policy", "greedy"]) == 0
+    assert capsys.readouterr().out == "completion 0, opt 0\n"
