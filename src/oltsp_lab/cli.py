@@ -24,7 +24,6 @@ from .instance import (
     LOCATIONS_KNOWN,
     MAX_REQUESTS,
     OPEN,
-    check_horizon,
     decode,
     encode,
     format_number,
@@ -195,9 +194,10 @@ def _cmd_gen(args) -> int:
 
 def _cmd_batch(args) -> int:
     knowledge = COUNT_KNOWN if args.count_known else LOCATIONS_KNOWN
-    # Refused before any instance is drawn, even when --count is 0.
+    # Refused before the first run, even when --count is 0: the pairing, then
+    # the space and size options, which drawing the first instance checks.
     check_pairing(alg_mod.make_policy(args.policy), args.kind, args.variant, knowledge)
-    check_horizon(args.horizon)
+    _gen_instance(args, args.seed, knowledge)
     if args.bound is not None and not math.isfinite(args.bound):
         raise ValueError(f"bound must be finite, got {args.bound}")
     rows: List[BatchRow] = []

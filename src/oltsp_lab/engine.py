@@ -70,7 +70,6 @@ class Observation:
     position: Point
     released: Dict[int, Request]  # visible released requests (point + release)
     served: FrozenSet[int]
-    ctx: PolicyContext
 
 
 class Policy:
@@ -205,9 +204,6 @@ def simulate(scenario: Scenario, policy: Policy, step_budget: int = 1_000_000) -
     for p in points.values():  # checked once; inside the run, distances are unchecked
         space.check_point(p)
 
-    locations = dict(points) if knowledge == LOCATIONS_KNOWN else None
-    ctx = PolicyContext(space, variant, n_total, locations)
-
     now = 0.0
     origin, dist = space.origin(), space.unchecked_distance
     pos = origin
@@ -258,7 +254,8 @@ def simulate(scenario: Scenario, policy: Policy, step_budget: int = 1_000_000) -
                         ingest(adversary.observe(now, pos, frozenset(served)))
                         adv_wake = adversary.next_wake(now)
 
-    policy.begin(ctx)
+    locations = dict(points) if knowledge == LOCATIONS_KNOWN else None
+    policy.begin(PolicyContext(space, variant, n_total, locations))
     steps = 0
     while True:
         steps += 1
@@ -279,7 +276,7 @@ def simulate(scenario: Scenario, policy: Policy, step_budget: int = 1_000_000) -
         ):
             break
 
-        obs = Observation(now, pos, dict(released), frozenset(served), ctx)
+        obs = Observation(now, pos, dict(released), frozenset(served))
         action = policy.decide(obs)
 
         next_times: List[float] = []

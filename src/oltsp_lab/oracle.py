@@ -17,16 +17,15 @@ one gather of predecessor columns, a broadcast add of the distance table, a
 min and a scatter.  It keeps no parent table: the order is rebuilt from the
 full mask backwards, each step taking the first minimum of the same float
 row.  A factorial brute force over the same fold serves as an independent
-cross-check.  It folds every order at once, one position at a time, over a
-cached table of all orders in lexicographic order (at n = 10 in blocks of 9!
-orders, one per leading request), and shares no code with the dynamic program.
-It alone reads that table; alg1 walks the same orders as a tree, one array per
-position (:func:`lex_tree`).
+cross-check.  It folds the lexicographic order tree that alg1 walks
+(:func:`lex_tree`) one level at a time, in blocks of at most ``FOLD_ORDERS``
+leaves, and shares no code with the dynamic program.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 
 import numpy as np
 
@@ -34,9 +33,9 @@ from .instance import CLOSED, MAX_REQUESTS, Instance
 from .metric import distance_table
 
 BRUTE_CAP = 10
-# The brute force folds the whole order table up to this n; at n = 10 the table
-# alone would take 290 MB, so it goes one leading request at a time.
-WHOLE_TABLE_N = 9
+# The brute force folds at most this many orders at a time: all of them up to
+# n = 9, one leading request at a time at n = 10.
+FOLD_ORDERS = factorial(9)
 # Cells per DP step: its (n, n, CHUNK // n) float64 block of candidates, about
 # 286 KiB at n = 18, stays in a 1-2 MiB L2 cache.  That is the hardware's
 # property, not the instance's.
@@ -79,7 +78,7 @@ def opt_makespan(inst: Instance) -> OptResult:
     d0, dret, dmat, rel = _geometry(inst)
     closed = inst.variant == CLOSED
     if n <= 3:
-        return _best_by_enumeration(inst, d0, dret, dmat, rel, closed)
+        return _best_by_enumeration(d0, dret, dmat, rel, closed)
 
     dist, relv = np.asarray(dmat), np.asarray(rel)
     rank, steps = _layer_plan(n)
@@ -110,28 +109,40 @@ def opt_makespan(inst: Instance) -> OptResult:
     return OptResult(makespan, tuple(i + 1 for i in order), tuple(times))
 
 
-def _best_by_enumeration(inst, d0, dret, dmat, rel, closed):
+def _best_by_enumeration(d0, dret, dmat, rel, closed):
     """The lexicographically first order with the least fold.
 
-    All orders are folded at once, one position at a time, by the scalar
-    fold's operations in its order, so each order's fold is the same float;
-    ``argmin`` and a strict ``<`` across blocks keep the first minimum.
+    The leaves of :func:`lex_tree` are folded one level at a time: a node's
+    time is its parent's plus the leg into its stop, clamped to that stop's
+    release.  These are the scalar fold's operations in its order, so each
+    leaf's time is its order's fold.  Whole rows of leading requests are
+    folded together, at most ``FOLD_ORDERS`` leaves at a time; ``argmin`` and
+    a strict ``<`` across blocks keep the first minimum.
     """
-    n = inst.n
+    n = len(rel)
+    levels = lex_tree(n)
     d0v, dretv, relv, dist = (np.array(v, dtype=float) for v in (d0, dret, rel, dmat))
+    dist = dist.ravel()
+    row_leaves = factorial(n - 1)
+    rows = min(n, FOLD_ORDERS // row_leaves)
     best = None
-    for block in _order_blocks(n):
-        prev = block[0]
-        t = np.maximum(0.0 + d0v[prev], relv[prev])
-        for col in block[1:]:
-            t = np.maximum(t + dist[prev, col], relv[col])
-            prev = col
+    for a in range(0, n, rows):
+        block = slice(a, a + rows)
+        stops = levels[0][0][block]
+        t = np.maximum(0.0 + d0v.take(stops), relv.take(stops))
+        for stops, legs in levels[1:]:
+            stops, legs = stops[block], legs[block]
+            step = dist.take(legs)
+            step += t  # t holds the parents, one per row of legs
+            t = np.maximum(step, relv.take(stops).reshape(legs.shape), out=step)
+            t = t.reshape(stops.shape)
         if closed:
-            t = t + dretv[prev]
-        i = t.argmin()
-        if best is None or t[i] < best[0]:
-            best = (t[i], block[:, i].tolist())
-    perm = best[1]
+            t += dretv.take(stops)
+        i = int(t.argmin())
+        if best is None or t.flat[i] < best[0]:
+            best = (t.flat[i], a * row_leaves + i)
+    _, leaf = best
+    perm = [int(stops.flat[leaf // (factorial(n) // stops.size)]) for stops, _ in levels]
     t, times = _fold(perm, d0, dret, dmat, rel, closed)
     return OptResult(t, tuple(i + 1 for i in perm), tuple(times))
 
@@ -144,7 +155,7 @@ def opt_bruteforce(inst: Instance) -> OptResult:
     if n > BRUTE_CAP:
         raise ValueError(f"brute-force cap exceeded: n={n} > {BRUTE_CAP}")
     d0, dret, dmat, rel = _geometry(inst)
-    return _best_by_enumeration(inst, d0, dret, dmat, rel, inst.variant == CLOSED)
+    return _best_by_enumeration(d0, dret, dmat, rel, inst.variant == CLOSED)
 
 
 @lru_cache(maxsize=None)
@@ -176,50 +187,21 @@ def _layer_plan(n: int):
     return rank, tuple(steps)
 
 
-def _order_blocks(n: int):
-    """Every order of range(n), in lexicographic order, as (n, m) blocks of
-    :func:`lex_orders` layout: the whole table up to ``WHOLE_TABLE_N``, above
-    it one (n - 1)! block per leading request, which bounds memory at n = 10."""
-    if n <= WHOLE_TABLE_N:
-        yield lex_orders(n)
-    else:
-        sub = lex_orders(n - 1)
-        block = np.empty((n, sub.shape[1]), dtype=np.intp)
-        for a in range(n):
-            _fill_led_by(block, a, sub)
-            yield block
-
-
-@lru_cache(maxsize=None)
-def lex_orders(n: int) -> np.ndarray:
-    """Every order of range(n) as a column of an (n, n!) read-only table, in
-    lexicographic order: row k holds the request at position k.  Built from
-    the n - 1 table, one block per leading request; no list of n! tuples.
-    Only the brute force reads it."""
-    if n == 0:
-        table = np.zeros((0, 1), dtype=np.intp)
-    else:
-        sub = lex_orders(n - 1)
-        table = np.empty((n, n * sub.shape[1]), dtype=np.intp)
-        for a, block in enumerate(np.split(table, n, axis=1)):
-            _fill_led_by(block, a, sub)
-    table.flags.writeable = False
-    return table
-
-
 @lru_cache(maxsize=None)
 def lex_tree(n: int) -> tuple:
     """The orders of range(n) in lexicographic order as a tree, one level per
-    position, without the (n, n!) table.  Level k has a node for each distinct
-    first k + 1 stops, in order: its stops are ``lex_orders(n)[k, ::(n - k -
-    1)!]``, node i's parent is node ``i // (n - k)`` one level up, and its
-    leaves are the (n - k - 1)! orders from ``i * (n - k - 1)!`` on.  Level k
-    is ``(stops, legs)``.  The int16 stops are shaped (n, nodes / n, 1), one
-    row per leading request, so that they broadcast against the leaves viewed
-    as (n, nodes / n, (n - k - 1)!).  From level 1 on, the int16 legs
-    ``parent stop * n + stop``, flat indices into an (n, n) table, are shaped
-    (n, parents / n, n - k): one row of children per parent.  Built from the
-    n - 1 tree, one block per leading request, as :func:`lex_orders` is."""
+    position; its leaves are the n! orders and no order is listed whole.
+    Level k has a node for each distinct first k + 1 stops, in lexicographic
+    order: node i holds the last of them, its parent is node ``i // (n - k)``
+    one level up, and its leaves are the (n - k - 1)! orders from ``i * (n - k
+    - 1)!`` on.  Level k is ``(stops, legs)``.  The int16 stops are shaped (n,
+    nodes / n, 1), one row per leading request, so that they broadcast against
+    the leaves viewed as (n, nodes / n, (n - k - 1)!).  From level 1 on, the
+    int16 legs ``parent stop * n + stop``, flat indices into an (n, n) table,
+    are shaped (n, parents / n, n - k): one row of children per parent.  Built
+    from the n - 1 tree, one block per leading request: the nodes led by a are
+    the n - 1 tree's nodes with each stop s renamed to the s-th request other
+    than a."""
     if n == 0:
         return ()
     others = np.array([np.delete(np.arange(n), a) for a in range(n)], dtype=np.int16)
@@ -235,10 +217,3 @@ def lex_tree(n: int) -> tuple:
             legs.flags.writeable = False
     return tuple(levels)
 
-
-def _fill_led_by(block: np.ndarray, a: int, sub: np.ndarray) -> None:
-    """Fill ``block`` with the orders that start with ``a``, from the order
-    table ``sub`` of one request fewer."""
-    block[0] = a
-    # The indices are in range; a mode other than "raise" lets take write in place.
-    np.take(np.delete(np.arange(len(block)), a), sub, out=block[1:], mode="clip")

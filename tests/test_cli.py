@@ -274,6 +274,23 @@ def test_usage_error_exit_code(tmp_path, capsys):
             assert "bad " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("options", [
+    ["--length", "-1"],
+    ["--n", "19"],
+    ["--n", "-1"],
+    ["--rays", "0"],
+    ["--kind", "ring", "--circumference", "inf"],
+], ids=["negative-length", "n-past-cap", "negative-n", "no-rays", "infinite-ring"])
+def test_batch_refuses_bad_space_and_size_options_without_runs(options, capsys):
+    # --count 0 draws no instance to run, yet refuses what --count 1 refuses
+    for count in ("1", "0"):
+        argv = ["batch", "--kind", "star", "--variant", "closed", "--policy", "greedy",
+                "--count", count, "--seed", "1"] + options
+        assert run_cli(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: "), argv
+
+
 def test_report_empty_rows():
     text = report([], "csv", bound=1.5)
     lines = text.strip().splitlines()

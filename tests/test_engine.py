@@ -235,15 +235,15 @@ def test_engine_ends_empty_run_without_asking_the_policy(variant):
     assert verify_outcome(inst, out) == []
 
 
-def _watch_decide(policy):
-    """Fail when ``decide`` sees a run that is already over: every request
-    served, and the run open or the server at the origin."""
+def _watch_decide(policy, inst):
+    """Fail when ``decide`` sees a run of ``inst`` that is already over: every
+    request served, and the run open or the server at the origin."""
     decide = policy.decide
 
     def watched(obs):
-        space = obs.ctx.space
+        space = inst.space
         home = space.distance(obs.position, space.origin()) <= EPS
-        assert not (len(obs.served) == obs.ctx.n and (obs.ctx.variant == OPEN or home)), (
+        assert not (len(obs.served) == inst.n and (inst.variant == OPEN or home)), (
             f"decide asked at t={obs.now} after the run was over"
         )
         return decide(obs)
@@ -282,7 +282,7 @@ def test_policy_never_asked_after_the_run_is_over(name, kind, variant, sp):
                     GenParams(n=n, seed=seed, release_horizon=horizon, space_params=sp),
                     kind, variant=variant,
                 )
-                out = simulate(inst, _watch_decide(make_policy(name)))
+                out = simulate(inst, _watch_decide(make_policy(name), inst))
                 assert verify_outcome(inst, out) == []
 
 

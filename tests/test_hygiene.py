@@ -1,12 +1,15 @@
 """Source hygiene that no installed linter checks: a module reads every name it
-imports, so a leftover import shows once its last use is gone."""
+imports, and some file reads every function and class the package defines at
+module level, so a leftover import or helper shows once its last use is gone."""
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "oltsp_lab"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "oltsp_lab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+READERS = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
 def unread_imports(source: str) -> list:
@@ -36,3 +39,49 @@ def test_unread_import_is_caught():
     source = "from .engine import check_pairing, simulate\nimport numpy as np\n" \
              "np.zeros(1)\ncheck_pairing()\n"
     assert unread_imports(source) == ["simulate"]
+
+
+def defined_names(source: str) -> list:
+    """The functions and classes ``source`` defines at module level."""
+    defs = (ast.FunctionDef, ast.ClassDef)
+    return [node.name for node in ast.parse(source).body if isinstance(node, defs)]
+
+
+def read_names(source: str) -> set:
+    """Every name ``source`` reads: loaded names, attributes, imported names and
+    whole string constants (``getattr(module, "name")``).  A definition's reads
+    of its own name, such as a recursive call, do not count."""
+    read = set()
+    for stmt in ast.parse(source).body:
+        names = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+        read |= names - {getattr(stmt, "name", None)}
+    return read
+
+
+def unread_definitions(source: str, readers) -> list:
+    """Functions and classes defined in ``source`` that no source in ``readers``
+    reads.  Names are matched alone, not by module."""
+    read = set().union(*(read_names(r) for r in readers))
+    return sorted(set(defined_names(source)) - read)
+
+
+def test_every_defined_name_is_read():
+    readers = [p.read_text(encoding="utf-8") for p in READERS]
+    unread = {p.name: unread_definitions(p.read_text(encoding="utf-8"), readers)
+              for p in MODULES}
+    assert {name: defs for name, defs in unread.items() if defs} == {}
+
+
+def test_unread_definition_is_caught():
+    source = "def used():\n    pass\n\ndef left_over(n):\n    return left_over(n - 1)\n\n" \
+             "class Kept:\n    pass\n\nused(Kept)\n"
+    assert unread_definitions(source, [source]) == ["left_over"]

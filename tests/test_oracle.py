@@ -1,5 +1,4 @@
 import itertools
-import math
 import tracemalloc
 
 import numpy as np
@@ -20,7 +19,7 @@ from oltsp_lab import (
     oracle,
 )
 from oltsp_lab.metric import General, Ring, SemiLine
-from oltsp_lab.oracle import BRUTE_CAP, OptResult, lex_orders, lex_tree
+from oltsp_lab.oracle import BRUTE_CAP, OptResult, lex_tree
 
 KINDS = [
     ("semiline", {}),
@@ -193,24 +192,25 @@ def test_bruteforce_equals_scalar_enumeration(inst):
         assert opt_makespan(inst) == ref
 
 
-def test_order_table_is_lexicographic():
-    for n in range(8):
-        table = lex_orders(n)
-        assert table.T.tolist() == [list(p) for p in itertools.permutations(range(n))]
-        assert not table.flags.writeable
-
-
-def test_order_tree_levels_are_order_table_rows():
-    for n in range(10):
-        table, tree = lex_orders(n), lex_tree(n)
+def test_order_tree_levels_are_order_prefixes():
+    for n in range(9):
+        orders = list(itertools.permutations(range(n)))
+        tree = lex_tree(n)
         assert len(tree) == n
         for k, (stops, legs) in enumerate(tree):
-            assert stops.ravel().tolist() == table[k, ::math.factorial(n - k - 1)].tolist()
+            prefixes = sorted({p[:k + 1] for p in orders})  # one node each, in order
+            assert stops.shape == (n, len(prefixes) // n, 1)
+            assert stops.ravel().tolist() == [p[k] for p in prefixes]
             assert not stops.flags.writeable
             if k:  # node i's parent is node i // (n - k) one level up
-                parents = tree[k - 1][0].ravel()[np.arange(stops.size) // (n - k)]
-                assert legs.ravel().tolist() == (parents * n + stops.ravel()).tolist()
+                above = sorted({p[:k] for p in orders})
+                assert [above[i // (n - k)] for i in range(len(prefixes))] == \
+                    [p[:k] for p in prefixes]
+                assert legs.shape == (n, len(above) // n, n - k)
+                assert legs.ravel().tolist() == [p[k - 1] * n + p[k] for p in prefixes]
                 assert not legs.flags.writeable
+            else:
+                assert legs is None
 
 
 @pytest.mark.parametrize("kind,sp", KINDS)
@@ -227,7 +227,7 @@ def test_bruteforce_equals_dp_at_nine_and_ten(kind, sp):
 
 def test_bruteforce_memory_bounded_at_cap():
     inst = generate_random(GenParams(n=BRUTE_CAP, seed=11, release_horizon=1.0), "general")
-    lex_orders.cache_clear()  # count the order table it builds as well
+    lex_tree.cache_clear()  # count the order tree it builds as well
     tracemalloc.start()
     try:
         opt_bruteforce(inst)
