@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -192,22 +193,39 @@ def test_bruteforce_equals_scalar_enumeration(inst):
         assert opt_makespan(inst) == ref
 
 
-def test_order_tree_levels_are_order_prefixes():
+def _order_table(n):
+    """The n! orders of range(n) in lexicographic order, one column each."""
+    orders = list(itertools.permutations(range(n)))
+    return np.array(orders, dtype=np.intp).reshape(len(orders), n).T
+
+
+def test_order_table_is_lexicographic():
     for n in range(9):
-        orders = list(itertools.permutations(range(n)))
         tree = lex_tree(n)
+        node, rows = np.arange(math.factorial(n)), []
+        for k in reversed(range(n)):  # each leaf read back to the root
+            rows.append(tree[k][0].ravel()[node])
+            node = node // (n - k)
+        table = np.array(rows[::-1], dtype=np.intp).reshape(n, math.factorial(n))
+        assert table.T.tolist() == [list(p) for p in itertools.permutations(range(n))]
+
+
+def test_order_tree_levels_are_order_table_rows():
+    for n in range(9):
+        table, tree = _order_table(n), lex_tree(n)
         assert len(tree) == n
         for k, (stops, legs) in enumerate(tree):
-            prefixes = sorted({p[:k + 1] for p in orders})  # one node each, in order
-            assert stops.shape == (n, len(prefixes) // n, 1)
-            assert stops.ravel().tolist() == [p[k] for p in prefixes]
+            step = math.factorial(n - k - 1)  # node i is the prefix of order i * step
+            nodes = table[:k + 1, ::step]
+            assert stops.shape == (n, nodes.shape[1] // n, 1)
+            assert stops.ravel().tolist() == nodes[k].tolist()
             assert not stops.flags.writeable
             if k:  # node i's parent is node i // (n - k) one level up
-                above = sorted({p[:k] for p in orders})
-                assert [above[i // (n - k)] for i in range(len(prefixes))] == \
-                    [p[:k] for p in prefixes]
-                assert legs.shape == (n, len(above) // n, n - k)
-                assert legs.ravel().tolist() == [p[k - 1] * n + p[k] for p in prefixes]
+                above = table[:k, ::step * (n - k)]
+                assert above[:, np.arange(nodes.shape[1]) // (n - k)].tolist() == \
+                    nodes[:k].tolist()
+                assert legs.shape == (n, above.shape[1] // n, n - k)
+                assert legs.ravel().tolist() == (nodes[k - 1] * n + nodes[k]).tolist()
                 assert not legs.flags.writeable
             else:
                 assert legs is None
