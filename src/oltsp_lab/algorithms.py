@@ -20,18 +20,17 @@ from .engine import (
     Action,
     MoveTo,
     Observation,
-    PairingError,
     Policy,
     PolicyContext,
     SimulationError,
     WaitForRelease,
     WaitUntil,
+    check_pairing,
 )
-from .instance import CLOSED, MAX_REQUESTS, OPEN, Instance, Request
+from .instance import CLOSED, LOCATIONS_KNOWN, MAX_REQUESTS, OPEN, Instance, Request
 from .metric import EPS, Point, distance_table
 from .oracle import lex_tree
 
-ALG1_CAP = 9
 EXACT_KNAPSACK_CAP = 20
 
 
@@ -57,19 +56,6 @@ def next_stop(points: Dict[int, Point], obs: Observation,
     if best is None:
         return None
     return WaitForRelease(best[1]) if best[0] <= EPS else move(points[best[1]])
-
-
-def follow(obs: Observation, space, order: Sequence[int],
-           points: Dict[int, Point]) -> Action:
-    """Serve the stops of ``order`` in turn: go to the first unserved one and
-    wait there while it is unreleased; once every stop is served, go home."""
-    for rid in order:
-        if rid not in obs.served:
-            target = points[rid]
-            if space.unchecked_distance(obs.position, target) <= EPS:
-                return WaitForRelease(rid)
-            return MoveTo(target)
-    return MoveTo(space.origin())
 
 
 class Route(Policy):
@@ -104,6 +90,18 @@ class Route(Policy):
 
     def all_released(self, obs: Observation) -> Optional[Action]:
         return WaitForRelease(None) if len(obs.released) < self.ctx.n else None
+
+    def follow(self, obs: Observation) -> Action:
+        """Serve the stops of ``self.order`` in turn: go to the first unserved
+        one and wait there while it is unreleased; once all are served, go home."""
+        space = self.ctx.space
+        for rid in self.order:
+            if rid not in obs.served:
+                target = self.points[rid]
+                if space.unchecked_distance(obs.position, target) <= EPS:
+                    return WaitForRelease(rid)
+                return MoveTo(target)
+        return MoveTo(space.origin())
 
 
 # Knapsack ---------------------------------------------------------------------
@@ -256,17 +254,16 @@ class Alg1General(Route):
 
     name = "alg1"
     needs_locations = True
+    max_requests = 9
 
     def __init__(self):
         self.order: List[int] = []
         self.chosen_t: Optional[float] = None
-        self.steps = [("_waiting_step",), ("_tour_step",)]
+        self.steps = [("_waiting_step",), ("follow",)]
 
     def begin(self, ctx: PolicyContext) -> None:
-        n = ctx.n
-        if n > ALG1_CAP:
-            raise PairingError(f"alg1 handles at most {ALG1_CAP} requests, got {n}")
         super().begin(ctx)
+        n = ctx.n
         if n == 0:
             return
         pts = [self.points[i + 1] for i in range(n)]
@@ -355,9 +352,6 @@ class Alg1General(Route):
         del self.ws, self.ell
         ALG1_SPARES[n] = ws
 
-    def _tour_step(self, obs: Observation) -> Action:
-        return follow(obs, self.ctx.space, self.order, self.points)
-
 
 # Ring policy (closed) -----------------------------------------------------------
 
@@ -390,6 +384,7 @@ class Alg2Ring(Route):
         pos_sorted = [self.points[i + 1] for i in range(n)]
         if ctx.space.max_gap_with_origin(pos_sorted) > self.c / 2 + EPS:
             self.delegate = Alg1General()
+            check_pairing(self.delegate, ctx.space.kind, ctx.variant, LOCATIONS_KNOWN, n)
             self.delegate.begin(ctx)
             self.steps = [("_delegate_step",)]
             return
@@ -718,15 +713,11 @@ class WaitAll(Route):
 
     name = "wait-all"
     needs_locations = False
+    max_requests = MAX_REQUESTS  # its tour is the oracle's
 
     def __init__(self):
         self.order: Optional[List[int]] = None
-        self.steps = [("all_released",), ("_plan",), ("_tour_step",)]
-
-    def begin(self, ctx: PolicyContext) -> None:
-        if ctx.n > MAX_REQUESTS:
-            raise PairingError(f"wait-all is capped at {MAX_REQUESTS} requests (exact tour)")
-        self.ctx = ctx
+        self.steps = [("all_released",), ("_plan",), ("follow",)]
 
     def _plan(self, obs: Observation) -> None:
         from .oracle import opt_makespan
@@ -743,9 +734,6 @@ class WaitAll(Route):
         result = opt_makespan(synthetic)
         self.order = [remaining[i - 1] for i in result.order]
         self.points = {rid: req.point for rid, req in obs.released.items()}
-
-    def _tour_step(self, obs: Observation) -> Action:
-        return follow(obs, self.ctx.space, self.order, self.points)
 
 
 class Greedy(Policy):

@@ -155,29 +155,24 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+# The space options by the generator parameter each sets.  One that is not
+# given is left out of the arguments, so ``generate_random`` owns the defaults.
+SPACE_OPTIONS = ("circumference", "ray_count", "length", "asymmetric", "non_line_like")
+
+
 def _add_space_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kind", required=True, choices=SPACE_KINDS)
-    parser.add_argument("--circumference", type=float, default=1.0)
-    parser.add_argument("--rays", type=int, default=5)
-    parser.add_argument("--length", type=float, default=1.0)
-    parser.add_argument("--asymmetric", action="store_true")
-    parser.add_argument("--non-line-like", action="store_true")
-
-
-def _space_args(args) -> dict:
-    """Generator space parameters of ``args.kind`` from the space options."""
-    return {
-        "ring": {"circumference": args.circumference, "non_line_like": args.non_line_like},
-        "star": {"ray_count": args.rays, "length": args.length},
-        "semiline": {"length": args.length},
-        "line": {"length": args.length},
-        "general": {"asymmetric": args.asymmetric},
-    }[args.kind]
+    absent = {"default": argparse.SUPPRESS}
+    parser.add_argument("--circumference", type=float, **absent)
+    parser.add_argument("--rays", dest="ray_count", type=int, **absent)
+    parser.add_argument("--length", type=float, **absent)
+    parser.add_argument("--asymmetric", action="store_true", **absent)
+    parser.add_argument("--non-line-like", action="store_true", **absent)
 
 
 def _gen_instance(args, seed: int, knowledge: str) -> Instance:
-    params = GenParams(n=args.n, seed=seed, release_horizon=args.horizon,
-                       space_params=_space_args(args))
+    given = {k: v for k, v in vars(args).items() if k in SPACE_OPTIONS}
+    params = GenParams(n=args.n, seed=seed, release_horizon=args.horizon, space_params=given)
     return generate_random(params, args.kind, variant=args.variant, knowledge=knowledge)
 
 
@@ -196,7 +191,7 @@ def _cmd_batch(args) -> int:
     knowledge = COUNT_KNOWN if args.count_known else LOCATIONS_KNOWN
     # Refused before the first run, even when --count is 0: the pairing, then
     # the space and size options, which drawing the first instance checks.
-    check_pairing(alg_mod.make_policy(args.policy), args.kind, args.variant, knowledge)
+    check_pairing(alg_mod.make_policy(args.policy), args.kind, args.variant, knowledge, args.n)
     _gen_instance(args, args.seed, knowledge)
     if args.bound is not None and not math.isfinite(args.bound):
         raise ValueError(f"bound must be finite, got {args.bound}")

@@ -79,6 +79,7 @@ class Policy:
     needs_locations = False
     requires_kind: Optional[str] = None  # space kind the policy is defined on
     requires_variant: Optional[str] = None
+    max_requests: Optional[int] = None  # most requests the policy can run on
 
     def begin(self, ctx: PolicyContext) -> None:
         pass
@@ -122,15 +123,17 @@ class Adversary:
 Scenario = Union[Instance, Adversary]
 
 
-def check_pairing(policy: Policy, kind: str, variant: str, knowledge: str) -> None:
+def check_pairing(policy: Policy, kind: str, variant: str, knowledge: str, n: int) -> None:
     """Raise :class:`PairingError` when ``policy`` cannot run on a scenario of
-    this space kind, variant and knowledge model."""
+    this space kind, variant and knowledge model, or on ``n`` requests."""
     if policy.requires_kind and policy.requires_kind != kind:
         why = f"requires a {policy.requires_kind} space, got {kind}"
     elif policy.requires_variant and policy.requires_variant != variant:
         why = f"requires the {policy.requires_variant} variant, got {variant}"
     elif policy.needs_locations and knowledge == COUNT_KNOWN:
         why = "needs known locations but the scenario reveals only the request count"
+    elif policy.max_requests is not None and n > policy.max_requests:
+        why = f"handles at most {policy.max_requests} requests, got {n}"
     else:
         return
     raise PairingError(f"policy {policy.name!r} {why}")
@@ -184,7 +187,7 @@ def simulate(scenario: Scenario, policy: Policy, step_budget: int = 1_000_000) -
     space = scenario.space
     variant = scenario.variant
     knowledge = scenario.knowledge
-    check_pairing(policy, space.kind, variant, knowledge)
+    check_pairing(policy, space.kind, variant, knowledge, scenario.n)
 
     adversary: Optional[Adversary] = None
     points: Dict[int, Point] = {}

@@ -22,7 +22,6 @@ from oltsp_lab import (
     verify_outcome,
 )
 from oltsp_lab.algorithms import (
-    ALG1_CAP,
     ALG1_SPARES,
     Alg1General,
     Alg2Ring,
@@ -32,7 +31,7 @@ from oltsp_lab.algorithms import (
     make_policy,
     next_stop,
 )
-from oltsp_lab.engine import MoveTo, SimulationError, WaitForRelease, WaitUntil
+from oltsp_lab.engine import MoveTo, PairingError, SimulationError, WaitForRelease, WaitUntil
 from oltsp_lab.metric import EPS, General, Ring, SemiLine, Star, distance_table
 from oltsp_lab.oracle import lex_tree
 
@@ -74,7 +73,7 @@ def test_alg1_single_request_open():
 
 def test_alg1_cap():
     inst = generate_random(GenParams(n=10, seed=5), "semiline", variant=OPEN)
-    with pytest.raises(SimulationError, match="at most"):
+    with pytest.raises(PairingError, match="handles at most 9 requests, got 10"):
         simulate(inst, Alg1General())
 
 
@@ -224,8 +223,8 @@ def test_alg1_matches_per_order_at_eight_and_nine(kind, sp):
 
 
 def _at_cap(seed):
-    return generate_random(GenParams(n=ALG1_CAP, seed=seed, release_horizon=1.0), "general",
-                           variant=CLOSED)
+    params = GenParams(n=Alg1General.max_requests, seed=seed, release_horizon=1.0)
+    return generate_random(params, "general", variant=CLOSED)
 
 
 def _traced_peak(inst):
@@ -307,6 +306,16 @@ def test_alg2_line_like_delegates():
     out = simulate(inst, pol)
     assert pol.delegate is not None
     assert verify_outcome(inst, out) == []
+
+
+def test_alg2_line_like_past_alg1_cap_is_refused_before_any_step():
+    inst = make_instance(Ring(1.0), CLOSED, [(0.04 * i, 0.0) for i in range(1, 11)])
+    assert inst.space.max_gap_with_origin([r.point for r in inst.requests]) > 0.5 + EPS
+    pol = Alg2Ring()
+    pol.decide = lambda obs: pytest.fail("alg2-ring took a step")
+    with pytest.raises(PairingError, match="policy 'alg1' handles at most 9 requests, got 10"):
+        simulate(inst, pol)
+    assert pol.delegate is not None and not hasattr(pol.delegate, "start_at")
 
 
 def test_alg2_big_gap_far_lower_endpoint():

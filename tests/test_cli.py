@@ -205,6 +205,10 @@ def test_usage_error_exit_code(tmp_path, capsys):
         ["gen", "--kind", "star", "--rays", "0", "--n", "2", "--seed", "1"],
         ["batch", "--kind", "star", "--length", "-1", "--variant", "closed",
          "--policy", "greedy", "--count", "1", "--seed", "1"],
+        ["batch", "--kind", "ring", "--length", "-1", "--variant", "closed",
+         "--policy", "greedy", "--count", "0", "--seed", "1"],
+        ["batch", "--kind", "general", "--length", "-1", "--variant", "closed",
+         "--policy", "greedy", "--count", "0", "--seed", "1"],
         ["batch", "--kind", "line", "--variant", "closed", "--policy", "alg2-ring",
          "--count", "0", "--seed", "1"],
         # non-finite sizes
@@ -233,6 +237,8 @@ def test_usage_error_exit_code(tmp_path, capsys):
         # more requests than the policy's cap
         ["batch", "--kind", "semiline", "--variant", "open", "--policy", "alg1",
          "--count", "1", "--seed", "1", "--n", "10"],
+        ["batch", "--kind", "semiline", "--variant", "open", "--policy", "alg1",
+         "--count", "0", "--seed", "1", "--n", "10"],
         ["adversary", "--name", "ring-closed-count:0.25", "--policy", "wait-all"],
         # an epsilon below the count constructions' floor of 0.005
         ["adversary", "--name", "ring-closed-count:5e-324", "--policy", "greedy"],
@@ -272,6 +278,17 @@ def test_usage_error_exit_code(tmp_path, capsys):
         for argv in (["oracle"], ["simulate", "--policy", "greedy"]):
             assert run_cli(argv + ["--instance", str(path)]) == 2
             assert "bad " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["batch", "--kind", "line", "--variant", "open", "--policy", "alg1", "--n", "12",
+      "--count", "0", "--seed", "1"], "policy 'alg1' handles at most 9 requests, got 12"),
+    (["adversary", "--name", "ring-closed-count:0.25", "--policy", "wait-all"],
+     "policy 'wait-all' handles at most 18 requests, got 25"),
+], ids=["alg1-batch-without-runs", "wait-all-adversary"])
+def test_request_cap_is_one_pairing_refusal(argv, message, capsys):
+    assert run_cli(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("options", [

@@ -1,6 +1,7 @@
 """Source hygiene that no installed linter checks: a module reads every name it
-imports, and some file reads every function and class the package defines at
-module level, so a leftover import or helper shows once its last use is gone."""
+imports, and some file reads every function, class and variable the package
+defines at module level, so a leftover import, helper or constant shows once
+its last use is gone."""
 import ast
 from pathlib import Path
 
@@ -42,9 +43,16 @@ def test_unread_import_is_caught():
 
 
 def defined_names(source: str) -> list:
-    """The functions and classes ``source`` defines at module level."""
-    defs = (ast.FunctionDef, ast.ClassDef)
-    return [node.name for node in ast.parse(source).body if isinstance(node, defs)]
+    """The functions, classes and variables ``source`` defines at module level."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for target in targets for t in ast.walk(target)
+                      if isinstance(t, ast.Name)]
+    return names
 
 
 def read_names(source: str) -> set:
@@ -68,7 +76,7 @@ def read_names(source: str) -> set:
 
 
 def unread_definitions(source: str, readers) -> list:
-    """Functions and classes defined in ``source`` that no source in ``readers``
+    """Module-level names defined in ``source`` that no source in ``readers``
     reads.  Names are matched alone, not by module."""
     read = set().union(*(read_names(r) for r in readers))
     return sorted(set(defined_names(source)) - read)
@@ -85,3 +93,5 @@ def test_unread_definition_is_caught():
     source = "def used():\n    pass\n\ndef left_over(n):\n    return left_over(n - 1)\n\n" \
              "class Kept:\n    pass\n\nused(Kept)\n"
     assert unread_definitions(source, [source]) == ["left_over"]
+    constants = "CAP = 9\nLIMIT: int = 18\nLOW, HIGH = 0, 1\nused(LIMIT, HIGH)\n"
+    assert unread_definitions(constants, [constants]) == ["CAP", "LOW"]
