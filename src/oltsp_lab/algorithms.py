@@ -32,6 +32,14 @@ from .metric import EPS, Point, distance_table
 from .oracle import lex_tree
 
 EXACT_KNAPSACK_CAP = 20
+# The most int16 indices one take converts to intp at once (315 KiB): a
+# leading request's share of an n = 9 level that holds n! nodes.
+TAKE_INDICES = math.factorial(8)
+# alg1 keeps the frontier of every released set it walks up to this many
+# requests.  Those walks are dominated by numpy's per-call cost, which the
+# cache saves; the frontiers of all 2^n sets hold 37,072 nodes (290 KiB) at
+# n = 7, but 297,600 (2.3 MiB) at n = 8.
+FRONTIER_CACHE_N = 7
 
 
 # Moves shared by the policies ---------------------------------------------------
@@ -194,31 +202,81 @@ def _knapsack_fptas(items, capacity, eps) -> KnapsackResult:
 # alg1: order enumeration for any metric, both variants --------------------------
 
 
+class _PairMinima:
+    """The least half length below each node of the level whose nodes hold
+    two leaves, computed for the nodes asked for: kept, it would take n!/2
+    floats, about as much as all shallower levels together."""
+
+    def __init__(self, half: np.ndarray):
+        self.half = half
+
+    def take(self, nodes: np.ndarray) -> np.ndarray:
+        pairs = self.half.reshape(-1, 2).take(nodes, axis=0)
+        return np.minimum(pairs[:, 0], pairs[:, 1])
+
+
 class Alg1Workspace:
-    """The n!-long arrays of one alg1 run over n requests, reused from run to
-    run so that a run allocates (and the kernel maps in) none of them afresh.
+    """The arrays of one alg1 run over n requests, reused from run to run so
+    that a run allocates (and the kernel maps in) none of its n!-long arrays
+    afresh.
 
     ``prefix[k]`` holds level k of :func:`oracle.lex_tree`, one distance per
     node, shaped like its stops; ``grids[k]`` is the same memory shaped like
     its legs, one row of children per parent.  ``ell`` takes a closed run's
     lengths (an open run's are ``prefix[-1]``), ``half`` the half lengths and
-    then the commit's objective, the int16 ``needed`` the needed sets and
-    the int16 ``bits`` one level's share of them.  ``blocks[k]`` views
-    ``half``, ``bits`` and ``needed`` as (n, nodes / n, leaves per node), so
-    that level k broadcasts against them.
+    then the commit's objective.  ``minhalf[k].take(nodes)`` is the least
+    half length below each of ``nodes`` on level k: kept per node down to level
+    n - 4, taken from pairs of leaves on level n - 3, and ``half`` itself on
+    the two deepest levels, which hold one leaf per node.  Per level,
+    ``reached[k]`` is ``prefix[k]`` flat, ``leaves[k]`` is ``half`` as one row
+    of leaves per node, ``stops[k]`` is an int8 copy of the stops in node
+    order (the tree lays them out by leading request, so a flat view would
+    be a copy too) and ``children[k]`` is ``arange(n - k)``, the offsets of a
+    node's children on level k.  ``unreleased[R]`` marks the requests outside
+    the released set R, and ``frontiers`` keeps the frontiers walked so far.
     """
 
     def __init__(self, n: int):
         self.levels = levels = lex_tree(n)
         size = math.factorial(n)
         self.ell, self.half = np.empty(size), np.empty(size)
-        self.needed, self.bits = np.empty(size, np.int16), np.empty(size, np.int16)
         self.prefix = [np.empty(stops.shape) for stops, _ in levels]
         self.grids = [None] + [p.reshape(legs.shape)
                                for p, (_, legs) in zip(self.prefix[1:], levels[1:])]
-        self.blocks = [tuple(a.reshape(stops.shape[:2] + (-1,))
-                             for a in (self.half, self.bits, self.needed))
-                       for stops, _ in levels]
+        self.minhalf = ([np.empty(stops.size) for stops, _ in levels[:-3]]
+                        + [_PairMinima(self.half), self.half, self.half][-n:])
+        # The deepest level's stops are never read: a node there has every
+        # other stop above it, so the walk reaches it only on the frontier.
+        self.stops = [np.ascontiguousarray(stops, np.int8).ravel() for stops, _ in levels[:-1]]
+        self.reached = [p.ravel() for p in self.prefix]
+        self.leaves = [self.half.reshape(stops.size, -1) for stops, _ in levels]
+        self.children = [np.arange(n - k) for k in range(n)]
+        self.unreleased = (np.arange(1 << n)[:, None] >> np.arange(n) & 1) == 0
+        self.frontiers: Dict[int, list] = {}
+
+    def frontier(self, released_bits: int, released: int) -> list:
+        """The frontier of a released set R, per level the nodes whose stops
+        above are all in R and whose own is not.  It depends only on n and R,
+        so up to ``FRONTIER_CACHE_N`` requests it is kept for the next run."""
+        frontier = self.frontiers.get(released_bits)
+        if frontier is not None:
+            return frontier
+        # take and compress, and children laid out child by child: numpy's
+        # boolean indexing and a broadcast over a short last axis are several
+        # times slower on the deep levels.
+        unreleased = self.unreleased[released_bits]
+        frontier = []
+        nodes, out = self.children[0], unreleased  # level 0: node a stops at a
+        for k in range(released):
+            frontier.append(nodes.compress(out))
+            nodes = (nodes.compress(~out) * len(self.children[k + 1])
+                     + self.children[k + 1][:, None]).ravel()
+            if k + 1 < released:
+                out = unreleased.take(self.stops[k + 1].take(nodes))
+        frontier.append(nodes)  # all ``released`` stops above, so not its own
+        if len(self.levels) <= FRONTIER_CACHE_N:
+            self.frontiers[released_bits] = frontier
+        return frontier
 
 
 # One spare workspace per n: a run takes it in ``begin`` and puts it back in
@@ -226,30 +284,44 @@ class Alg1Workspace:
 ALG1_SPARES: Dict[int, Alg1Workspace] = {}
 
 
+def _take(table: np.ndarray, indices: np.ndarray, out: np.ndarray) -> None:
+    """``table.take(indices, out=out)``, a block of leading requests (rows of
+    ``indices``) at a time, at most ``TAKE_INDICES`` indices or one row per
+    block: take copies int16 indices to intp before it writes.  The indices
+    are in range; a mode other than "raise" lets take write in place."""
+    rows = max(1, TAKE_INDICES // indices[0].size)
+    for a in range(0, len(indices), rows):
+        table.take(indices[a:a + rows], out=out[a:a + rows], mode="clip")
+
+
 class Alg1General(Route):
     """Wait at the origin until the start threshold, then commit to the order
     minimizing (1 - beta) * length and follow it, waiting at unreleased stops.
 
     The start threshold is the first time t at which some order has both
-    t >= length/2 and a fully released prefix covering half its length.  The
-    requests an order reaches before its halfway point are its needed set;
-    orders with the same needed set share the prefix condition, so the
-    threshold depends only on which requests are released: ``start_at[R]``
-    is the least length/2 among the orders whose needed set lies in the
-    released set R (inf if none), 2^n entries instead of n!.  The policy
-    waits for a release while that is inf, and otherwise until it.  No
-    release term is needed: a set is fully released only once its latest
-    release is due, at most ``now + EPS``, so that release can never hold
-    the start back.
+    t >= length/2 and a fully released prefix covering half its length.
+    Legs are never negative, so an order's distances grow along it, and the
+    prefix condition holds for the released set R exactly when the distance
+    into the order's first unreleased stop is at least its half length (or
+    every stop is released).  The orders are the leaves of
+    :func:`oracle.lex_tree`, whose level k holds each distinct first k + 1
+    stops once.  A node of the frontier of R (every stop above it released,
+    its own not) is the first unreleased stop of every order below it, so the
+    threshold is the least, over the frontier, of the least half length below
+    the node where that is at most the distance into it (inf if none; the
+    least half length overall once all is released).  A walk from the root
+    finds the frontier once per released set; the policy waits for a release
+    while the threshold is inf, and otherwise until it.  No release term is
+    needed: a set is fully released only once its latest release is due, at
+    most ``now + EPS``, so that release can never hold the start back.
 
-    The orders are the leaves of :func:`oracle.lex_tree`, whose level k holds
-    each distinct first k + 1 stops once, so a distance shared by (n-k-1)!
-    orders is summed once, by the same float additions as an order's own
-    fold.  Every per-node and per-order array lives in an
-    :class:`Alg1Workspace`: ``begin`` takes the spare one for n from
-    ``ALG1_SPARES`` (or builds one) and writes every result into it;
-    ``_commit`` puts it back once it has read the chosen order.  A run that
-    never commits keeps its workspace, which is freed with the policy.
+    A distance shared by (n-k-1)! orders is summed once per tree node, by the
+    same float additions as an order's own fold.  Every per-node and
+    per-order array lives in an :class:`Alg1Workspace`: ``begin`` takes the
+    spare one for n from ``ALG1_SPARES`` (or builds one) and writes every
+    result into it; ``_commit`` puts it back once it has read the chosen
+    order.  A run that never commits keeps its workspace, which is freed with
+    the policy.
     """
 
     name = "alg1"
@@ -276,13 +348,12 @@ class Alg1General(Route):
         # origin is added last; this order of additions fixes the floats.
         # Each level first holds the legs between stops summed so far, which
         # the next level adds to its own legs; once every level is summed,
-        # each gets the leg from the origin.  The indices are in range; a mode
-        # other than "raise" lets take write in place.
+        # each gets the leg from the origin.
         d0 = d0.reshape(n, 1, 1)  # level 0: node a stops at a
         np.copyto(prefix[0], d0)
         between = 0.0
         for (_, legs), grid, p in zip(levels[1:], ws.grids[1:], prefix[1:]):
-            dmat.take(legs, out=grid, mode="clip")
+            _take(dmat, legs, grid)
             grid += between
             between = p
         for p in prefix[1:]:
@@ -290,52 +361,72 @@ class Alg1General(Route):
         # Per order (a leaf of the tree): its length.
         ell = prefix[-1].ravel()
         if ctx.variant == CLOSED:
-            dret.take(levels[-1][0], out=ws.ell.reshape(prefix[-1].shape), mode="clip")
+            _take(dret, levels[-1][0], ws.ell.reshape(prefix[-1].shape))
             ell = np.add(ws.ell, ell, out=ws.ell)
         self.ell = ell
-        half = np.divide(ell, 2, out=ws.half)
-        # Per order: the requests it reaches before its halfway point, as a
-        # bitmask.  A node is compared with its block of leaves, a broadcast.
-        ws.needed.fill(0)
-        for (stops, _), p, (half_k, bits, needed) in zip(levels, prefix, ws.blocks):
-            np.less(p, half_k, out=bits)
-            np.left_shift(bits, stops, out=bits)
-            needed |= bits
-        # Per needed set: the least half length among the orders that need it.
-        # Then per released set: the least of these over the needed sets it
-        # holds (inf if none), one bit at a time, so a decision reads one entry.
-        start_at = np.full(1 << n, np.inf)
-        np.minimum.at(start_at, ws.needed, half)
-        for j in range(n):
-            pairs = start_at.reshape(-1, 2, 1 << j)  # [high bits, bit j, low bits]
-            np.minimum(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
-        self.start_at = start_at
+        np.divide(ell, 2, out=ws.half)
+        # Per node down to level n - 4: the least half length below it, from
+        # its children's (level n - 3 has none kept, so from its six leaves).
+        minhalf = ws.minhalf
+        for k in reversed(range(n - 3)):
+            kids = (minhalf[k + 1] if k < n - 4 else ws.half).reshape(minhalf[k].size, -1)
+            least = np.minimum(kids[:, 0], kids[:, 1], out=minhalf[k])
+            for j in range(2, kids.shape[1]):
+                np.minimum(least, kids[:, j], out=least)
+        # A frontier node on level k has k released stops above it.  An
+        # order's distances grow along it, so once a node's least half length
+        # is at most the distance into it, some node on every deeper level has
+        # that too; above the first such level no frontier node can start.
+        # The deep levels keep no least half length: a leaf of theirs at most
+        # the distance into its node is the same test.
+        reached = ws.reached
+        self.first_level = next((k for k in range(n) if (
+            minhalf[k] <= reached[k] if k < n - 3 else ws.leaves[k] <= reached[k][:, None]
+        ).any()), n)
+        self.released_bits = -1
 
     def _waiting_step(self, obs: Observation) -> Optional[Action]:
         released_bits = 0
         for rid in obs.released:
             released_bits |= 1 << (rid - 1)
-        best = float(self.start_at[released_bits])
-        if best == math.inf:
+        if released_bits != self.released_bits:  # the released set only grows
+            self.released_bits = released_bits
+            self.threshold, self.frontier = self._walk(released_bits, len(obs.released))
+        if self.threshold == math.inf:
             return WaitForRelease(None)
-        if best > obs.now + EPS:
-            return WaitUntil(best)
-        self._commit(obs, released_bits)
+        if self.threshold > obs.now + EPS:
+            return WaitUntil(self.threshold)
+        self._commit(obs)
         return None
 
-    def _commit(self, obs: Observation, released_bits: int) -> None:
+    def _walk(self, released_bits: int, released: int) -> Tuple[float, list]:
+        """The start threshold for a released set and its frontier."""
+        ws, n = self.ws, self.ctx.n
+        if released == n:
+            return float(ws.minhalf[0].take(ws.children[0]).min()), []
+        if released < self.first_level:
+            return math.inf, []
+        frontier = ws.frontier(released_bits, released)
+        best = math.inf
+        for k in range(self.first_level, released + 1):
+            least = ws.minhalf[k].take(frontier[k])
+            least = least.compress(least <= ws.reached[k].take(frontier[k]))
+            if least.size:
+                best = min(best, least.min())
+        return float(best), frontier
+
+    def _commit(self, obs: Observation) -> None:
         n, ws, ell = self.ctx.n, self.ws, self.ell
-        unreleased = np.array([not released_bits & (1 << i) for i in range(n)])
         # The distance into each order's first unreleased stop, or its length
-        # when all are released.  That stop lies at most as deep as the number
-        # of released stops; deeper levels are written first, so the write of
-        # the first unreleased stop is the one that stays.  It goes where the
-        # half lengths were: begin is done with them.
+        # when all are released.  The frontier nodes' leaf blocks cover every
+        # order once.  It goes where the half lengths were: the walk is done
+        # with them.
         num = ws.half
-        np.copyto(num, ell)
-        released = bin(released_bits).count("1")
-        for k in reversed(range(released + 1 if released < n else 0)):
-            np.copyto(ws.blocks[k][0], ws.prefix[k], where=unreleased[ws.levels[k][0]])
+        if self.frontier:
+            for leaves, reached, edge in zip(ws.leaves, ws.reached, self.frontier):
+                leaves[edge] = reached.take(edge)[:, None]
+        else:
+            np.copyto(num, ell)
         # num <= ell, so num / ell is 0 / 0 only for an order of length 0;
         # fmin passes over that nan and takes 1/2, as for any ratio >= 1/2.
         # Then the objective (1 - beta) * ell, all in place.
@@ -349,7 +440,7 @@ class Alg1General(Route):
                       for stops, _ in ws.levels]
         self.chosen_t = obs.now
         self.chosen_objective = float(objective[i1])
-        del self.ws, self.ell
+        del self.ws, self.ell, self.frontier
         ALG1_SPARES[n] = ws
 
 

@@ -228,7 +228,7 @@ class Star(MetricSpace):
             isinstance(ray, int)
             and 0 <= ray < self.ray_count
             and isinstance(depth, (int, float))
-            and -EPS <= depth < math.inf
+            and 0 <= depth < math.inf
         )
 
     def unchecked_distance(self, a, b) -> float:
@@ -301,7 +301,7 @@ class General(MetricSpace):
         if isinstance(p, EdgePoint):
             if not (0 <= p.a < self.size and 0 <= p.b < self.size):
                 return False
-            return -EPS <= p.traveled <= self.matrix[p.a][p.b] + EPS
+            return 0 <= p.traveled <= self.matrix[p.a][p.b]
         return False
 
     def unchecked_distance(self, a: Point, b: Point) -> float:
@@ -377,7 +377,7 @@ class General(MetricSpace):
                 issues.append(f"nonzero diagonal at ({i},{i})")
         for i in range(n):
             for j in range(n):
-                if self.matrix[i][j] < -EPS:
+                if self.matrix[i][j] < 0:
                     issues.append(f"negative entry ({i},{j})")
                 if self.symmetric and abs(self.matrix[i][j] - self.matrix[j][i]) > EPS:
                     issues.append(f"asymmetry at ({i},{j}) with symmetric flag set")

@@ -186,6 +186,27 @@ class PerOrderAlg1(Alg1General):
         self.chosen_objective = float(objective[i1])
 
 
+def needed_set_table(ref):
+    """The start threshold of every released set R, 2^n entries, as alg1 once
+    kept it: the least half length per needed set, then per R the least of
+    these over the needed sets R holds (inf if none), one request at a time."""
+    table = np.full(1 << ref.ctx.n, np.inf)
+    np.minimum.at(table, ref.needed_mask, ref.half)
+    for j in range(ref.ctx.n):
+        pairs = table.reshape(-1, 2, 1 << j)  # [high bits, bit j, low bits]
+        np.minimum(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
+    return table
+
+
+def _assert_frontier_thresholds(ref):
+    """alg1's walk gives, for every released set, the reference's threshold."""
+    pol = Alg1General()
+    pol.begin(ref.ctx)
+    table = needed_set_table(ref)
+    for bits in range(1 << ref.ctx.n):
+        assert pol._walk(bits, bin(bits).count("1"))[0] == table[bits], bits
+
+
 def _alg1_choice(pol):
     return pol.chosen_t, pol.order, getattr(pol, "chosen_objective", None)
 
@@ -201,6 +222,7 @@ def test_alg1_threshold_per_needed_set_matches_per_order(inst):
     ref_out, out = simulate(inst, ref), simulate(inst, pol)
     assert _alg1_choice(pol) == _alg1_choice(ref)
     assert out.completion == ref_out.completion
+    _assert_frontier_thresholds(ref)
 
 
 @pytest.mark.parametrize("kind,sp", ALG1_KINDS)
@@ -220,6 +242,7 @@ def test_alg1_matches_per_order_at_eight_and_nine(kind, sp):
             ref_out, out = simulate(inst, ref), simulate(inst, pol)
             assert _alg1_choice(pol) == _alg1_choice(ref), (kind, n, variant)
             assert out.completion == ref_out.completion, (kind, n, variant)
+            _assert_frontier_thresholds(ref)
 
 
 def _at_cap(seed):
@@ -250,7 +273,8 @@ def test_alg1_warm_run_allocates_no_workspace():
 
 def _alg1_arrays(pol):
     ws = pol.ws
-    return [a.copy() for a in (pol.start_at, *ws.prefix, ws.ell, ws.half, ws.needed, ws.bits)]
+    kept = ws.minhalf[:-3]  # the deeper levels read ``half``
+    return [a.copy() for a in (*ws.prefix, ws.ell, ws.half, *kept)]
 
 
 def test_alg1_workspaces_are_exclusive():
@@ -315,7 +339,7 @@ def test_alg2_line_like_past_alg1_cap_is_refused_before_any_step():
     pol.decide = lambda obs: pytest.fail("alg2-ring took a step")
     with pytest.raises(PairingError, match="policy 'alg1' handles at most 9 requests, got 10"):
         simulate(inst, pol)
-    assert pol.delegate is not None and not hasattr(pol.delegate, "start_at")
+    assert pol.delegate is not None and not hasattr(pol.delegate, "first_level")
 
 
 def test_alg2_big_gap_far_lower_endpoint():

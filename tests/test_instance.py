@@ -15,7 +15,7 @@ from oltsp_lab import (
     validate_instance,
 )
 from oltsp_lab.instance import FormatError
-from oltsp_lab.metric import Ring, SemiLine
+from oltsp_lab.metric import General, Ring, SemiLine
 
 
 def test_validate_reference_instance_ok(example1):
@@ -30,6 +30,18 @@ def test_validate_negative_release(example1):
     )
     issues = validate_instance(bad)
     assert any("negative release" in v for v in issues)
+
+
+@pytest.mark.parametrize("cell", [(2, 1), (1, 1)])
+def test_validate_refuses_any_negative_distance(example1, cell):
+    """An entry below 0, however small and the diagonal included, is refused:
+    alg1's start threshold relies on no leg being negative."""
+    rows = [list(row) for row in example1.space.matrix]
+    i, j = cell
+    rows[i][j] = -1e-12
+    bad = Instance(space=General.from_rows(rows, symmetric=False), variant=CLOSED,
+                   requests=example1.requests)
+    assert f"negative entry ({i},{j})" in validate_instance(bad)
 
 
 def test_validate_ring_sorting_names_the_pair():

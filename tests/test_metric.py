@@ -91,6 +91,10 @@ def test_validate_space_asymmetric_allowed():
 def test_point_domain_errors():
     with pytest.raises(MetricError):
         SemiLine().distance(-0.5, 0.2)
+    with pytest.raises(MetricError):  # a depth below 0 would give negative distances
+        Star(2).distance((1, -1e-12), (0, 0.0))
+    with pytest.raises(MetricError):
+        General.from_rows([[0, 1], [1, 0]]).distance(EdgePoint(0, 1, -1e-12), 1)
     with pytest.raises(MetricError):
         Star(2).distance((2, 0.1), (0, 0.1))
     with pytest.raises(MetricError):
@@ -235,3 +239,16 @@ def test_unchecked_distance_is_distance_bit_for_bit(move):
     space, a, b = move
     for p, q in ((a, b), (b, a), (a, a)):
         assert space.unchecked_distance(p, q).hex() == space.distance(p, q).hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_moves())
+@example((SemiLine(), -EPS, 0.0))  # the semi-line's tolerance band below 0
+@example((Star(3), (1, 0.0), (2, 0.0)))
+@example((_ASYMMETRIC, EdgePoint(0, 2, 0.0), 0))
+@example((_ASYMMETRIC, EdgePoint(0, 2, 2.0), 2))
+def test_unchecked_distance_is_never_negative(move):
+    space, a, b = move
+    assert space.contains(a) and space.contains(b)
+    assert space.unchecked_distance(a, b) >= 0
+    assert space.unchecked_distance(b, a) >= 0
