@@ -339,7 +339,7 @@ class Alg1General(Route):
         if n == 0:
             return
         pts = [self.points[i + 1] for i in range(n)]
-        d0, dret, dmat = (np.array(t) for t in distance_table(ctx.space, pts))
+        d0, dret, dmat = distance_table(ctx.space, pts)
         ws = self.ws = ALG1_SPARES.pop(n, None) or Alg1Workspace(n)
         levels, prefix = ws.levels, ws.prefix
 
@@ -473,7 +473,7 @@ class Alg2Ring(Route):
         self.points = {rid: ctx.space.norm(p) for rid, p in (ctx.locations or {}).items()}
         n = ctx.n
         pos_sorted = [self.points[i + 1] for i in range(n)]
-        if ctx.space.max_gap_with_origin(pos_sorted) > self.c / 2 + EPS:
+        if ctx.space.line_like(pos_sorted):
             self.delegate = Alg1General()
             check_pairing(self.delegate, ctx.space.kind, ctx.variant, LOCATIONS_KNOWN, n)
             self.delegate.begin(ctx)
@@ -504,16 +504,11 @@ class Alg2Ring(Route):
 
     # movement steps --------------------------------------------------------
 
-    def _arc(self, cur: float, target: float, d: float) -> float:
-        """Arc from ``cur`` to ``target`` in direction ``d``; a full loop is 0."""
-        arc = ((target - cur) * d) % self.c
-        return 0.0 if arc >= self.c - EPS else arc
-
     def _arc_step(self, obs: Observation, target: float, clockwise: bool) -> Optional[Action]:
         """Travel to ``target`` in the given direction."""
         cur = self.ctx.space.norm(obs.position)
         d = 1.0 if clockwise else -1.0
-        arc = self._arc(cur, target, d)
+        arc = self.ctx.space.arc(cur, target, d)
         if arc <= EPS:
             return None
         hop = min(arc, self.c / 4)
@@ -523,10 +518,10 @@ class Alg2Ring(Route):
         """Serve-with-wait sweep home to the origin: stop at unreleased requests."""
         cur = self.ctx.space.norm(obs.position)
         d = 1.0 if clockwise else -1.0
-        remaining = self._arc(cur, 0.0, d)
+        remaining = self.ctx.space.arc(cur, 0.0, d)
 
         def offset(p: float) -> Optional[float]:
-            off = self._arc(cur, p, d)
+            off = self.ctx.space.arc(cur, p, d)
             return off if off <= remaining + EPS else None
 
         act = next_stop(self.points, obs, offset,
@@ -593,24 +588,25 @@ class RaySummary:
     released_prefix: float
 
 
+def ray_lengths(points: Dict[int, Point], ray_count: int) -> List[float]:
+    """Per ray, its length: the depth of its deepest request, 0.0 on a ray
+    without one.  Requests at the hub lie on no ray."""
+    deepest = [0.0] * ray_count
+    for r, d in points.values():
+        if d > EPS:
+            deepest[r] = max(d, deepest[r])
+    return deepest
+
+
 def ray_summaries(points: Dict[int, Point], ray_count: int, released_ids) -> List[RaySummary]:
-    """Per ray: its length (the deepest request) and its outermost-anchored
-    released length at one instant in time."""
-    out = []
-    for j in range(ray_count):
-        depths = [d for (r, d) in points.values() if r == j and d > EPS]
-        if not depths:
-            out.append(RaySummary(j, 0.0, 0.0))
-            continue
-        length = max(depths)
-        blocked = [
-            d
-            for rid, (r, d) in points.items()
-            if r == j and d > EPS and rid not in released_ids
-        ]
-        prefix = length - max(blocked) if blocked else length
-        out.append(RaySummary(j, length, max(prefix, 0.0)))
-    return out
+    """Per ray: its length and its outermost-anchored released length at one
+    instant in time, the length beyond its deepest unreleased request."""
+    blocked: Dict[int, float] = {}
+    for rid, (r, d) in points.items():
+        if d > EPS and rid not in released_ids:
+            blocked[r] = max(d, blocked.get(r, d))
+    return [RaySummary(j, length, max(length - blocked[j], 0.0) if j in blocked else length)
+            for j, length in enumerate(ray_lengths(points, ray_count))]
 
 
 class Alg3Star(Route):
@@ -635,9 +631,9 @@ class Alg3Star(Route):
     def begin(self, ctx: PolicyContext) -> None:
         super().begin(ctx)
         k = ctx.space.ray_count
-        self.ray_len = [s.length for s in ray_summaries(self.points, k, ())]
+        self.ray_len = ray_lengths(self.points, k)
         self.total = sum(self.ray_len)
-        big = max(range(k), key=lambda j: (self.ray_len[j], -j))
+        big = self.ray_len.index(max(self.ray_len))  # ties: the lowest ray
         if self.ray_len[big] >= self.total / 4 - 1e-12:
             self.steps = [("go", (big, self.ray_len[big])), ("_sweep_in", big)]
         else:

@@ -195,6 +195,8 @@ def _cmd_batch(args) -> int:
     _gen_instance(args, args.seed, knowledge)
     if args.bound is not None and not math.isfinite(args.bound):
         raise ValueError(f"bound must be finite, got {args.bound}")
+    if args.count < 0:
+        raise ValueError(f"count must be >= 0, got {args.count}")
     rows: List[BatchRow] = []
     for i in range(args.count):
         seed = args.seed + i

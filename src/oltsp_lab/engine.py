@@ -14,7 +14,6 @@ a closed policy brings the server home itself, by whatever way it chooses.
 """
 from __future__ import annotations
 
-import bisect
 import heapq
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
@@ -154,22 +153,6 @@ class Waypoint:
 class Trajectory:
     space: MetricSpace
     waypoints: Tuple[Waypoint, ...]
-
-    @property
-    def final_time(self) -> float:
-        return self.waypoints[-1].time
-
-    def position_at(self, t: float) -> Point:
-        if t < -EPS or t > self.final_time + EPS:
-            raise SimulationError(f"time {t} outside trajectory [0, {self.final_time}]")
-        times = [w.time for w in self.waypoints]
-        i = bisect.bisect_right(times, t) - 1
-        i = max(0, min(i, len(self.waypoints) - 2)) if len(self.waypoints) > 1 else 0
-        a = self.waypoints[i]
-        b = self.waypoints[min(i + 1, len(self.waypoints) - 1)]
-        if self.space.distance(a.point, b.point) <= EPS:
-            return a.point
-        return self.space.plan_move(a.point, b.point).point_at(max(0.0, t - a.time))
 
 
 @dataclass(frozen=True)

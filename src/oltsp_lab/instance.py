@@ -304,7 +304,7 @@ def generate_random(params: GenParams, kind: str, variant: str = CLOSED,
             raise ValueError(f"a non-line-like ring instance needs n >= 2, got n={n}")
         while True:
             pts = sorted(rng.uniform(0.0, c) for _ in range(n))
-            if not sp.get("non_line_like") or space.max_gap_with_origin(pts) <= c / 2:
+            if not (sp.get("non_line_like") and space.line_like(pts)):
                 break
     elif kind == "star":
         k = int(sp.get("ray_count", 5))

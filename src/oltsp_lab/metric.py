@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
+import numpy as np
+
 EPS = 1e-9
 
 Point = Any
@@ -189,20 +191,27 @@ class Ring(MetricSpace):
             return (a0 + direction * x) % c
 
         def coord(p: Point) -> Optional[float]:
-            if not isinstance(p, (int, float)):
-                return None
-            x = ((p % c - a0) * direction) % c
-            return 0.0 if x >= c - EPS else x  # numerically wrapped zero
+            return self.arc(a0, p % c, direction) if isinstance(p, (int, float)) else None
 
         return MovePlan([(0.0, length, to_point, coord)])
 
-    def max_gap_with_origin(self, points) -> float:
-        """Longest arc between neighbouring points of the origin plus ``points``."""
+    def arc(self, a: float, b: float, direction: float) -> float:
+        """Arc from ``a`` to ``b`` going clockwise (``direction`` 1.0) or
+        counter-clockwise (-1.0); a full loop, or one short of it by at most
+        EPS (a numerically wrapped zero), is 0."""
+        c = self.circumference
+        x = ((b - a) * direction) % c
+        return 0.0 if x >= c - EPS else x
+
+    def line_like(self, points) -> bool:
+        """Whether some arc between neighbouring points of the origin plus
+        ``points`` is longer than half the circumference by more than EPS: a
+        tour can then leave that arc out and visit the points as on a line."""
         c = self.circumference
         ring_pts = sorted([0.0] + [self.norm(p) for p in points])
         gaps = [b - a for a, b in zip(ring_pts, ring_pts[1:])]
         gaps.append(c - ring_pts[-1] + ring_pts[0])
-        return max(gaps)
+        return max(gaps) > c / 2 + EPS
 
     def validate(self) -> list:
         if not 0 < self.circumference < math.inf:
@@ -368,6 +377,8 @@ class General(MetricSpace):
     def validate(self) -> list:
         issues = []
         n = self.size
+        if n == 0:
+            return ["matrix has no row for the origin"]
         for row in self.matrix:
             if len(row) != n:
                 issues.append("matrix is not square")
@@ -391,14 +402,15 @@ class General(MetricSpace):
 
 def distance_table(space: MetricSpace, points: Sequence[Point]):
     """Distances from the origin to each point, from each point back to the
-    origin, and between every ordered pair of points, as nested lists.  Each
-    point is checked once; the table is filled without further checks."""
+    origin, and between every ordered pair of points, as float64 arrays
+    ``d0`` (n,), ``dret`` (n,) and ``dmat`` (n, n).  Each point is checked
+    once; the table is filled without further checks."""
     for p in points:
         space.check_point(p)
-    o, dist = space.origin(), space.unchecked_distance
-    d0 = [dist(o, p) for p in points]
-    dret = [dist(p, o) for p in points]
-    dmat = [[dist(a, b) for b in points] for a in points]
+    o, dist, n = space.origin(), space.unchecked_distance, len(points)
+    d0 = np.array([dist(o, p) for p in points], dtype=float)
+    dret = np.array([dist(p, o) for p in points], dtype=float)
+    dmat = np.array([dist(a, b) for a in points for b in points], dtype=float).reshape(n, n)
     return d0, dret, dmat
 
 

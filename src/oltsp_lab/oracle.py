@@ -51,7 +51,7 @@ class OptResult:
 
 def _geometry(inst: Instance):
     d0, dret, dmat = distance_table(inst.space, [r.point for r in inst.requests])
-    return d0, dret, dmat, [r.release for r in inst.requests]
+    return d0, dret, dmat, np.array([r.release for r in inst.requests], dtype=float)
 
 
 def _fold(order, d0, dret, dmat, rel, closed: bool):
@@ -59,12 +59,12 @@ def _fold(order, d0, dret, dmat, rel, closed: bool):
     times = []
     prev = None
     for j in order:
-        step = d0[j] if prev is None else dmat[prev][j]
-        t = max(t + step, rel[j])
+        step = d0[j] if prev is None else dmat[prev, j]
+        t = float(max(t + step, rel[j]))
         times.append(t)
         prev = j
     if closed and prev is not None:
-        t += dret[prev]
+        t += float(dret[prev])
     return t, times
 
 
@@ -80,7 +80,6 @@ def opt_makespan(inst: Instance) -> OptResult:
     if n <= 3:
         return _best_by_enumeration(d0, dret, dmat, rel, closed)
 
-    dist, relv = np.asarray(dmat), np.asarray(rel)
     rank, steps = _layer_plan(n)
     tab = np.full((n, n), np.inf)  # layer 1: tab[last, rank of 1 << last] = tab[last, last]
     tab[range(n), range(n)] = np.maximum(d0, rel)
@@ -90,18 +89,18 @@ def opt_makespan(inst: Instance) -> OptResult:
         for pred, cell in chunks:
             # Stored int32 to bound the plan at n = 18; take is faster on intp.
             cand = np.take(prev, pred.astype(np.intp), axis=1)  # cand[i, j, q]
-            cand += dist[:, :, None]
+            cand += dmat[:, :, None]
             best = cand.min(axis=0)
             # min_i max(a_i, r) == max(min_i a_i, r) exactly: clamp once, after the min.
-            np.put(tab, cell.astype(np.intp), np.maximum(best, relv[:, None], out=best))
+            np.put(tab, cell.astype(np.intp), np.maximum(best, rel[:, None], out=best))
         tabs.append(tab)
 
-    finals = tab[:, 0] + (np.asarray(dret) if closed else 0.0)
+    finals = tab[:, 0] + (dret if closed else 0.0)
     j = int(np.argmin(finals))
     makespan = float(finals[j])
     order, mask = [j], ((1 << n) - 1) ^ (1 << j)
     for tab in reversed(tabs[:-1]):  # the layer of popcount(mask)
-        j = int(np.argmin(np.maximum(tab[:, rank[mask]] + dist[:, j], relv[j])))
+        j = int(np.argmin(np.maximum(tab[:, rank[mask]] + dmat[:, j], rel[j])))
         order.append(j)
         mask ^= 1 << j
     order.reverse()
@@ -120,24 +119,23 @@ def _best_by_enumeration(d0, dret, dmat, rel, closed):
     a strict ``<`` across blocks keep the first minimum.
     """
     n = len(rel)
-    levels = lex_tree(n)
-    d0v, dretv, relv, dist = (np.array(v, dtype=float) for v in (d0, dret, rel, dmat))
-    dist = dist.ravel()
+    levels = lex_tree(n) if n < BRUTE_CAP else _grow_tree(lex_tree(n - 1))
+    dist = dmat.ravel()
     row_leaves = factorial(n - 1)
     rows = min(n, FOLD_ORDERS // row_leaves)
     best = None
     for a in range(0, n, rows):
         block = slice(a, a + rows)
         stops = levels[0][0][block]
-        t = np.maximum(0.0 + d0v.take(stops), relv.take(stops))
+        t = np.maximum(0.0 + d0.take(stops), rel.take(stops))
         for stops, legs in levels[1:]:
             stops, legs = stops[block], legs[block]
             step = dist.take(legs)
             step += t  # t holds the parents, one per row of legs
-            t = np.maximum(step, relv.take(stops).reshape(legs.shape), out=step)
+            t = np.maximum(step, rel.take(stops).reshape(legs.shape), out=step)
             t = t.reshape(stops.shape)
         if closed:
-            t += dretv.take(stops)
+            t += dret.take(stops)
         i = int(t.argmin())
         if best is None or t.flat[i] < best[0]:
             best = (t.flat[i], a * row_leaves + i)
@@ -198,15 +196,23 @@ def lex_tree(n: int) -> tuple:
     nodes / n, 1), one row per leading request, so that they broadcast against
     the leaves viewed as (n, nodes / n, (n - k - 1)!).  From level 1 on, the
     int16 legs ``parent stop * n + stop``, flat indices into an (n, n) table,
-    are shaped (n, parents / n, n - k): one row of children per parent.  Built
-    from the n - 1 tree, one block per leading request: the nodes led by a are
-    the n - 1 tree's nodes with each stop s renamed to the s-th request other
-    than a."""
-    if n == 0:
-        return ()
+    are shaped (n, parents / n, n - k): one row of children per parent.
+
+    Cached: alg1 and the brute force reuse the trees up to n = 9, which hold
+    4.3 MiB together.  The n = 10 tree takes 38 MiB and only the brute force
+    needs it, so the brute force grows it from the n = 9 tree for each call
+    (:func:`_grow_tree`) and lets it go."""
+    return _grow_tree(lex_tree(n - 1)) if n else ()
+
+
+def _grow_tree(sub_tree: tuple) -> tuple:
+    """:func:`lex_tree` for n from the n - 1 tree, one block per leading
+    request: the nodes led by a are the n - 1 tree's nodes with each stop s
+    renamed to the s-th request other than a."""
+    n = len(sub_tree) + 1
     others = np.array([np.delete(np.arange(n), a) for a in range(n)], dtype=np.int16)
     levels = [(np.arange(n, dtype=np.int16).reshape(n, 1, 1), None)]
-    for k, (sub, _) in enumerate(lex_tree(n - 1), start=1):
+    for k, (sub, _) in enumerate(sub_tree, start=1):
         stops = others[:, sub.ravel()].reshape(n, -1, 1)  # row a: the nodes led by a
         parents = levels[-1][0]
         legs = parents * n + stops.reshape(parents.shape[:2] + (n - k,))

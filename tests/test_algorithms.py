@@ -27,9 +27,11 @@ from oltsp_lab.algorithms import (
     Alg2Ring,
     Alg3Star,
     Alg5Semiline,
+    RaySummary,
     Route,
     make_policy,
     next_stop,
+    ray_summaries,
 )
 from oltsp_lab.engine import MoveTo, PairingError, SimulationError, WaitForRelease, WaitUntil
 from oltsp_lab.metric import EPS, General, Ring, SemiLine, Star, distance_table
@@ -132,7 +134,7 @@ class PerOrderAlg1(Alg1General):
         if n == 0:
             return
         pts = [self.points[i + 1] for i in range(n)]
-        d0, dret, dmat = (np.array(t) for t in distance_table(ctx.space, pts))
+        d0, dret, dmat = distance_table(ctx.space, pts)
         perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
         m = len(perms)
         prefix = np.empty((m, n))
@@ -334,7 +336,7 @@ def test_alg2_line_like_delegates():
 
 def test_alg2_line_like_past_alg1_cap_is_refused_before_any_step():
     inst = make_instance(Ring(1.0), CLOSED, [(0.04 * i, 0.0) for i in range(1, 11)])
-    assert inst.space.max_gap_with_origin([r.point for r in inst.requests]) > 0.5 + EPS
+    assert inst.space.line_like([r.point for r in inst.requests])
     pol = Alg2Ring()
     pol.decide = lambda obs: pytest.fail("alg2-ring took a step")
     with pytest.raises(PairingError, match="policy 'alg1' handles at most 9 requests, got 10"):
@@ -423,6 +425,38 @@ def test_alg3_budget_selection_snapshot():
     assert value == pytest.approx(0.27)
     assert verify_outcome(inst, out) == []
     assert ratio_ok(out.completion, opt_makespan(inst).makespan, 7 / 4)
+
+
+def rescanned_ray_summaries(points, ray_count, released_ids):
+    """Reference ``ray_summaries``: each ray rescans every point."""
+    out = []
+    for j in range(ray_count):
+        depths = [d for (r, d) in points.values() if r == j and d > EPS]
+        if not depths:
+            out.append(RaySummary(j, 0.0, 0.0))
+            continue
+        length = max(depths)
+        blocked = [d for rid, (r, d) in points.items()
+                   if r == j and d > EPS and rid not in released_ids]
+        prefix = length - max(blocked) if blocked else length
+        out.append(RaySummary(j, length, max(prefix, 0.0)))
+    return out
+
+
+_DEPTHS = st.one_of(st.sampled_from([0.0, EPS / 2, EPS, 2 * EPS, 0.25, 0.5]),
+                    st.floats(0.0, 10.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 300).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(st.tuples(st.integers(0, k - 1), _DEPTHS, st.booleans()),
+                         max_size=12))))
+def test_ray_summaries_match_per_ray_rescan(star):
+    """Most rays are empty once there are more rays than requests."""
+    k, requests = star
+    points = {i + 1: (r, d) for i, (r, d, _) in enumerate(requests)}
+    released = {i + 1 for i, (_, _, known) in enumerate(requests) if known}
+    assert ray_summaries(points, k, released) == rescanned_ray_summaries(points, k, released)
 
 
 def test_alg3_requires_closed_star():

@@ -44,13 +44,21 @@ def test_oracle_command(ex1_file, capsys):
 
 def test_oracle_and_simulate_reject_invalid_instance(tmp_path, example1, capsys):
     first = replace(example1.requests[0], release=-3.0)
+    negative_release = encode(replace(example1, requests=(first,) + example1.requests[1:]))
+    no_origin = json.dumps({
+        "space": {"kind": "general", "matrix": [], "symmetric": True},
+        "variant": "closed", "knowledge": "locations", "requests": [],
+    })
     path = tmp_path / "bad.json"
-    path.write_text(encode(replace(example1, requests=(first,) + example1.requests[1:])))
-    for argv in (["oracle"], ["simulate", "--policy", "alg1"]):
-        assert run_cli(argv + ["--instance", str(path)]) == 1
-        captured = capsys.readouterr()
-        assert "invalid instance: request 1 has negative release -3.0" in captured.err
-        assert captured.out == ""
+    for text, issue in ((negative_release, "request 1 has negative release -3.0"),
+                        (no_origin, "matrix has no row for the origin")):
+        path.write_text(text)
+        for argv in (["oracle"], ["simulate", "--policy", "alg1"],
+                     ["simulate", "--policy", "greedy"]):
+            assert run_cli(argv + ["--instance", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert f"invalid instance: {issue}" in captured.err
+            assert captured.out == ""
 
 
 def test_gen_roundtrip(tmp_path):
@@ -256,6 +264,9 @@ def test_usage_error_exit_code(tmp_path, capsys):
          "--policy", "greedy", "--count", "0", "--seed", "1"],
         ["batch", "--kind", "line", "--horizon", "nan", "--variant", "closed",
          "--policy", "greedy", "--count", "0", "--seed", "1"],
+        # a negative count
+        ["batch", "--kind", "line", "--variant", "open", "--policy", "greedy",
+         "--count", "-1", "--seed", "1"],
     ):
         assert run_cli(argv) == 2, argv
         assert capsys.readouterr().out == "", argv

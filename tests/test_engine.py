@@ -20,9 +20,7 @@ from oltsp_lab import (
 from oltsp_lab.algorithms import Alg1General, Greedy, make_policy
 from oltsp_lab.engine import Adversary, Policy, Waypoint
 from oltsp_lab.cli import run_cli
-from oltsp_lab.metric import (
-    EPS, SPACE_KINDS, EdgePoint, General, Line, MetricError, Ring, SemiLine,
-)
+from oltsp_lab.metric import EPS, SPACE_KINDS, Line, MetricError, SemiLine
 
 
 def test_reference_run_alg1(example1):
@@ -47,35 +45,6 @@ def test_single_request_alg5():
     inst = make_instance(SemiLine(), CLOSED, [(1.0, 5.0)])
     out = simulate(inst, make_policy("alg5-semiline"))
     assert out.completion == pytest.approx(6.0)
-
-
-def test_position_at_move_and_wait():
-    space = SemiLine()
-    traj = Trajectory(space, (
-        Waypoint(0.0, 0.0, "start"),
-        Waypoint(1.0, 1.0, "move"),
-        Waypoint(3.0, 1.0, "wait"),
-    ))
-    assert traj.position_at(0.5) == pytest.approx(0.5)
-    assert traj.position_at(2.2) == pytest.approx(1.0)
-    with pytest.raises(SimulationError):
-        traj.position_at(5.0)
-
-
-def test_position_at_general_same_edge():
-    space = General.from_rows([[0, 1], [1, 0]])
-    traj = Trajectory(space, (
-        Waypoint(0.0, 0, "start"),
-        Waypoint(0.3, EdgePoint(0, 1, 0.3), "move"),
-        Waypoint(0.6, EdgePoint(0, 1, 0.6), "move"),
-    ))
-    assert traj.position_at(0.45) == EdgePoint(0, 1, pytest.approx(0.45))
-
-
-def test_position_at_ring_counterclockwise():
-    space = Ring(1.0)
-    traj = Trajectory(space, (Waypoint(0.0, 0.0, "start"), Waypoint(0.1, 0.9, "move")))
-    assert traj.position_at(0.05) == pytest.approx(0.95)
 
 
 def test_verify_catches_premature_service():

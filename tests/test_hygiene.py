@@ -1,7 +1,8 @@
 """Source hygiene that no installed linter checks: a module reads every name it
-imports, and some file reads every function, class and variable the package
-defines at module level, so a leftover import, helper or constant shows once
-its last use is gone."""
+imports, some file reads every function, class and variable the package
+defines at module level, and some file of the program reads every method of a
+package class, so a leftover import, helper, constant or method shows once its
+last use is gone, or once only tests use it."""
 import ast
 from pathlib import Path
 
@@ -11,6 +12,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "oltsp_lab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 READERS = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
+PROGRAM = sorted(p for d in ("src", "perfbench") for p in (ROOT / d).rglob("*.py")
+                 if not p.name.startswith("test_"))
 
 
 def unread_imports(source: str) -> list:
@@ -95,3 +98,29 @@ def test_unread_definition_is_caught():
     assert unread_definitions(source, [source]) == ["left_over"]
     constants = "CAP = 9\nLIMIT: int = 18\nLOW, HIGH = 0, 1\nused(LIMIT, HIGH)\n"
     assert unread_definitions(constants, [constants]) == ["CAP", "LOW"]
+
+
+def unread_methods(source: str, readers) -> list:
+    """``Class.method`` for each method of a module-level class in ``source``
+    whose name no source in ``readers`` reads.  Python calls the dunder
+    methods itself, so they are left out."""
+    read = set().union(*(read_names(r) for r in readers))
+    return sorted(f"{node.name}.{item.name}" for node in ast.parse(source).body
+                  if isinstance(node, ast.ClassDef) for item in node.body
+                  if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
+                  and item.name not in read)
+
+
+def test_every_method_is_read_by_the_program():
+    readers = [p.read_text(encoding="utf-8") for p in PROGRAM]
+    unread = {p.name: unread_methods(p.read_text(encoding="utf-8"), readers) for p in MODULES}
+    assert {name: methods for name, methods in unread.items() if methods} == {}
+
+
+def test_method_read_only_by_tests_is_caught():
+    source = "class Route:\n    steps = [('_step',)]\n\n    def __init__(self):\n" \
+             "        self.ready = True\n\n    def _step(self):\n        return self.go()\n\n" \
+             "    def go(self):\n        pass\n\n    def left_over(self):\n        pass\n"
+    test = "Route().left_over()\n"
+    assert unread_methods(source, [source]) == ["Route.left_over"]
+    assert unread_methods(source, [source, test]) == []

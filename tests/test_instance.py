@@ -44,6 +44,11 @@ def test_validate_refuses_any_negative_distance(example1, cell):
     assert f"negative entry ({i},{j})" in validate_instance(bad)
 
 
+def test_validate_refuses_a_matrix_without_the_origin():
+    inst = Instance(space=General.from_rows([]), variant=CLOSED, requests=())
+    assert validate_instance(inst) == ["matrix has no row for the origin"]
+
+
 def test_validate_ring_sorting_names_the_pair():
     bad = make_instance(Ring(1.0), CLOSED, [(0.7, 0.0), (0.2, 0.0)])
     issues = validate_instance(bad)

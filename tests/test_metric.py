@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from oltsp_lab.metric import (
     Ring,
     SemiLine,
     Star,
+    distance_table,
 )
 
 
@@ -252,3 +254,36 @@ def test_unchecked_distance_is_never_negative(move):
     assert space.contains(a) and space.contains(b)
     assert space.unchecked_distance(a, b) >= 0
     assert space.unchecked_distance(b, a) >= 0
+
+
+def test_ring_arc_is_directed_and_a_loop_is_zero():
+    r = Ring(2.0)
+    assert r.arc(0.5, 0.2, 1.0) == pytest.approx(1.7)
+    assert r.arc(0.5, 0.2, -1.0) == pytest.approx(0.3)
+    assert r.arc(1.5, 0.25, 1.0) == pytest.approx(0.75)  # through the origin
+    assert r.arc(0.5, 0.5, -1.0) == 0.0
+    assert r.arc(0.5, 0.5 - EPS / 2, 1.0) == 0.0  # a wrapped zero, not a loop
+
+
+def test_ring_line_like_above_half_by_more_than_eps():
+    """A gap beyond C/2 by at most EPS is not line-like, for alg2's delegation
+    and the generator's non-line-like filter alike."""
+    r = Ring(2.0)
+    assert not r.line_like([0.6, 1.2])  # gaps 0.6, 0.6, 0.8
+    assert r.line_like([0.2, 0.5])  # gap 1.5
+    assert r.line_like([])  # the whole ring
+    assert not r.line_like([1.0])  # two gaps of exactly C/2
+    assert not r.line_like([1.0 + EPS / 2])
+    assert r.line_like([1.0 + 2 * EPS])
+    assert r.line_like([-0.5])  # at 1.5: a gap of 1.5
+
+
+def test_distance_table_is_float64_arrays():
+    space = General.from_rows([[0, 1, 2], [1, 0, 3], [2, 3, 0]], symmetric=True)
+    d0, dret, dmat = distance_table(space, [2, 1])
+    assert [a.dtype for a in (d0, dret, dmat)] == [np.float64] * 3
+    assert (d0.tolist(), dret.tolist(), dmat.tolist()) == ([2, 1], [2, 1], [[0, 3], [3, 0]])
+    shapes = [a.shape for a in distance_table(SemiLine(), [])]
+    assert shapes == [(0,), (0,), (0, 0)]
+    with pytest.raises(MetricError):
+        distance_table(SemiLine(), [0.5, -1.0])

@@ -244,15 +244,18 @@ def test_bruteforce_equals_dp_at_nine_and_ten(kind, sp):
 
 
 def test_bruteforce_memory_bounded_at_cap():
+    """The call's peak, and what it keeps after: alg1 and the brute force reuse
+    the cached trees up to n = 9 (4.3 MiB), but not the n = 10 one (38 MiB)."""
     inst = generate_random(GenParams(n=BRUTE_CAP, seed=11, release_horizon=1.0), "general")
     lex_tree.cache_clear()  # count the order tree it builds as well
     tracemalloc.start()
     try:
         opt_bruteforce(inst)
-        _, peak = tracemalloc.get_traced_memory()
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 100 * 2**20
+    assert retained < 8 * 2**20
 
 
 def _reference_dp(inst):
