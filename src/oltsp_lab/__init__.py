@@ -38,7 +38,7 @@ from .engine import (
     verify_outcome,
 )
 from .oracle import OptResult, opt_bruteforce, opt_makespan
-from .algorithms import KnapsackItem, RaySummary, knapsack_select, make_policy
+from .algorithms import KnapsackItem, knapsack_select, make_policy
 from .adversaries import AdversaryRun, make_adversary, run_adversary
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -472,7 +472,7 @@ class Alg2Ring(Route):
         self.c = ctx.space.circumference
         self.points = {rid: ctx.space.norm(p) for rid, p in (ctx.locations or {}).items()}
         n = ctx.n
-        pos_sorted = [self.points[i + 1] for i in range(n)]
+        pos_sorted = sorted(self.points.values())
         if ctx.space.line_like(pos_sorted):
             self.delegate = Alg1General()
             check_pairing(self.delegate, ctx.space.kind, ctx.variant, LOCATIONS_KNOWN, n)
@@ -581,32 +581,23 @@ class Alg2Ring(Route):
 # Star policy (closed) -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RaySummary:
-    index: int
-    length: float
-    released_prefix: float
-
-
-def ray_lengths(points: Dict[int, Point], ray_count: int) -> List[float]:
-    """Per ray, its length: the depth of its deepest request, 0.0 on a ray
-    without one.  Requests at the hub lie on no ray."""
-    deepest = [0.0] * ray_count
-    for r, d in points.values():
+def deepest(points: Iterable[Point]) -> Dict[int, float]:
+    """Per ray that holds a point deeper than EPS, lowest ray first: the depth
+    of its deepest point.  Points at the hub lie on no ray."""
+    depths: Dict[int, float] = {}
+    for r, d in points:
         if d > EPS:
-            deepest[r] = max(d, deepest[r])
-    return deepest
+            depths[r] = max(d, depths.get(r, d))
+    return dict(sorted(depths.items()))
 
 
-def ray_summaries(points: Dict[int, Point], ray_count: int, released_ids) -> List[RaySummary]:
-    """Per ray: its length and its outermost-anchored released length at one
-    instant in time, the length beyond its deepest unreleased request."""
-    blocked: Dict[int, float] = {}
-    for rid, (r, d) in points.items():
-        if d > EPS and rid not in released_ids:
-            blocked[r] = max(d, blocked.get(r, d))
-    return [RaySummary(j, length, max(length - blocked[j], 0.0) if j in blocked else length)
-            for j, length in enumerate(ray_lengths(points, ray_count))]
+def knapsack_offer(points: Dict[int, Point], released_ids) -> List[KnapsackItem]:
+    """alg3's knapsack items, one per ray that holds a request, lowest ray
+    first: the ray's length, and the length beyond its deepest unreleased
+    request."""
+    blocked = deepest(p for rid, p in points.items() if rid not in released_ids)
+    return [KnapsackItem(r, length, length - blocked.get(r, 0.0))
+            for r, length in deepest(points.values()).items()]
 
 
 class Alg3Star(Route):
@@ -626,16 +617,16 @@ class Alg3Star(Route):
         self.mode = mode
         self.eps = eps
         self.chosen_rays: Tuple[int, ...] = ()
-        self.summaries: List[RaySummary] = []
+        self.offer: List[KnapsackItem] = []
 
     def begin(self, ctx: PolicyContext) -> None:
         super().begin(ctx)
-        k = ctx.space.ray_count
-        self.ray_len = ray_lengths(self.points, k)
-        self.total = sum(self.ray_len)
-        big = self.ray_len.index(max(self.ray_len))  # ties: the lowest ray
-        if self.ray_len[big] >= self.total / 4 - 1e-12:
-            self.steps = [("go", (big, self.ray_len[big])), ("_sweep_in", big)]
+        lengths = deepest(self.points.values())
+        self.total = sum(lengths.values())
+        big = max(lengths, key=lengths.get, default=0)  # ties: the lowest ray
+        length = lengths.get(big, 0.0)
+        if length >= self.total / 4 - 1e-12:
+            self.steps = [("go", (big, length)), ("_sweep_in", big)]
         else:
             self.steps = [("_choose_rays",)]
         self.steps += [("go", ctx.space.origin()), ("all_released",), ("_mop_step",)]
@@ -659,26 +650,19 @@ class Alg3Star(Route):
         to each tip."""
         if obs.now < self.total - EPS:
             return WaitUntil(self.total)
-        self.summaries = ray_summaries(self.points, self.ctx.space.ray_count, obs.released)
-        items = [
-            KnapsackItem(s.index, s.length, s.released_prefix)
-            for s in self.summaries
-            if s.length > EPS
-        ]
-        sel = knapsack_select(items, self.total / 2 + 1e-12, self.mode, self.eps)
+        self.offer = knapsack_offer(self.points, obs.released)
+        sel = knapsack_select(self.offer, self.total / 2 + 1e-12, self.mode, self.eps)
         self.chosen_rays = sel.indices
-        self.steps[1:1] = self._round_trips((ray, self.ray_len[ray]) for ray in sel.indices)
+        lengths = {it.index: it.weight for it in self.offer}
+        self.steps[1:1] = self._round_trips((ray, lengths[ray]) for ray in sel.indices)
         return None
 
     def _mop_step(self, obs: Observation) -> None:
         """Once all is released, add a round trip to the deepest unserved
         request of each ray that has one, lowest ray first; the way out
         serves the rest of the ray."""
-        deepest: Dict[int, float] = {}
-        for rid, (r, d) in self.points.items():
-            if rid not in obs.served and d > EPS:
-                deepest[r] = max(d, deepest.get(r, d))
-        self.steps[1:1] = self._round_trips((r, deepest[r]) for r in sorted(deepest))
+        left = deepest(p for rid, p in self.points.items() if rid not in obs.served)
+        self.steps[1:1] = self._round_trips(left.items())
 
 
 # Semi-line policies --------------------------------------------------------------

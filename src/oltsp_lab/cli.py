@@ -176,14 +176,17 @@ def _gen_instance(args, seed: int, knowledge: str) -> Instance:
     return generate_random(params, args.kind, variant=args.variant, knowledge=knowledge)
 
 
-def _cmd_gen(args) -> int:
-    inst = _gen_instance(args, args.seed, args.knowledge)
-    text = encode(inst)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+def _write(path: Optional[str], text: str) -> None:
+    """Write ``text`` to the file ``path``, or to stdout when there is none."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _cmd_gen(args) -> int:
+    _write(args.out, encode(_gen_instance(args, args.seed, args.knowledge)))
     return 0
 
 
@@ -211,12 +214,7 @@ def _cmd_batch(args) -> int:
         "horizon": format_number(args.horizon),
         "bound": format_number(args.bound) if args.bound is not None else "none",
     }
-    text = report(rows, args.format, args.bound, params)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, report(rows, args.format, args.bound, params))
     if within_bound(rows, args.bound):
         return 0
     for r in [r for r in rows if not within_bound([r], args.bound)][:5]:
@@ -234,8 +232,7 @@ def _cmd_adversary(args) -> int:
         opt = f"opt {format_number(run.opt_completion)}, ratio {format_number(run.forced_ratio)}"
     print(f"forced {format_number(run.forced_completion)}, {opt}")
     if args.dump_instance:
-        with open(args.dump_instance, "w", encoding="utf-8") as fh:
-            fh.write(encode(run.materialized))
+        _write(args.dump_instance, encode(run.materialized))
     return 0
 
 

@@ -27,10 +27,9 @@ from oltsp_lab import (
 from oltsp_lab.adversaries import make_adversary, run_adversary
 from oltsp_lab.algorithms import (
     Alg1General,
-    KnapsackItem,
+    knapsack_offer,
     knapsack_select,
     make_policy,
-    ray_summaries,
 )
 from oltsp_lab.cli import run_cli
 from oltsp_lab.metric import General
@@ -132,13 +131,9 @@ def star_suite():
             [("alg3-star:exact", 1.75), ("alg3-star:fptas=0.1", 1.85), ("wait-all", 2.0)],
         )
         points = {r.id: r.point for r in inst.requests}
-        total = sum(s.length for s in ray_summaries(points, k, set()))
+        total = sum(it.weight for it in knapsack_offer(points, set()))
         released = {r.id for r in inst.requests if r.release <= total}
-        items = [
-            KnapsackItem(s.index, s.length, s.released_prefix)
-            for s in ray_summaries(points, k, released)
-            if s.length > 1e-9
-        ]
+        items = knapsack_offer(points, released)
         exact = knapsack_select(items, total / 2, "exact")
         approx = knapsack_select(items, total / 2, "fptas", eps=0.1)
         if approx.value < 0.9 * exact.value - 1e-12:

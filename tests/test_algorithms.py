@@ -27,11 +27,11 @@ from oltsp_lab.algorithms import (
     Alg2Ring,
     Alg3Star,
     Alg5Semiline,
-    RaySummary,
+    KnapsackItem,
     Route,
+    knapsack_offer,
     make_policy,
     next_stop,
-    ray_summaries,
 )
 from oltsp_lab.engine import MoveTo, PairingError, SimulationError, WaitForRelease, WaitUntil
 from oltsp_lab.metric import EPS, General, Ring, SemiLine, Star, distance_table
@@ -385,6 +385,22 @@ def test_alg2_ratio_small_sweep():
         assert verify_outcome(inst, out) == []
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(2, 9), st.sampled_from((0.0, 0.5, 2.0)), st.data())
+def test_alg2_does_not_read_request_ids_as_ring_order(seed, n, horizon, data):
+    """Ids are labels: relabelling the requests of a non-line-like ring with
+    distinct points leaves the completion and each request's service time."""
+    inst = generate_random(GenParams(n=n, seed=seed, release_horizon=horizon,
+                                     space_params={"non_line_like": True}),
+                           "ring", variant=CLOSED)
+    ids = data.draw(st.permutations(range(1, n + 1)))
+    relabelled = replace(inst, requests=tuple(sorted(
+        (replace(r, id=new) for r, new in zip(inst.requests, ids)), key=lambda r: r.id)))
+    out, moved = simulate(inst, Alg2Ring()), simulate(relabelled, Alg2Ring())
+    assert moved.completion == out.completion
+    assert [moved.services[new] for new in ids] == [out.services[r.id] for r in inst.requests]
+
+
 # Algorithm 3 (star) -----------------------------------------------------------------
 
 
@@ -416,30 +432,30 @@ def test_alg3_budget_selection_snapshot():
     inst = make_instance(Star(6), CLOSED, reqs)
     pol = Alg3Star("exact")
     out = simulate(inst, pol)
-    assert [round(s.length, 3) for s in pol.summaries] == [0.2, 0.15, 0.2, 0.1, 0.2, 0.15]
-    assert [round(s.released_prefix, 3) for s in pol.summaries] == [0.1, 0.0, 0.15, 0.02, 0.1, 0.05]
+    assert [it.index for it in pol.offer] == [0, 1, 2, 3, 4, 5]
+    assert [round(it.weight, 3) for it in pol.offer] == [0.2, 0.15, 0.2, 0.1, 0.2, 0.15]
+    assert [round(it.value, 3) for it in pol.offer] == [0.1, 0.0, 0.15, 0.02, 0.1, 0.05]
     assert set(pol.chosen_rays) in ({0, 2, 3}, {2, 3, 4})
-    total = sum(s.length for s in pol.summaries)
-    assert sum(pol.summaries[j].length for j in pol.chosen_rays) <= total / 2 + 1e-9
-    value = sum(pol.summaries[j].released_prefix for j in pol.chosen_rays)
+    total = sum(it.weight for it in pol.offer)
+    assert sum(pol.offer[j].weight for j in pol.chosen_rays) <= total / 2 + 1e-9
+    value = sum(pol.offer[j].value for j in pol.chosen_rays)
     assert value == pytest.approx(0.27)
     assert verify_outcome(inst, out) == []
     assert ratio_ok(out.completion, opt_makespan(inst).makespan, 7 / 4)
 
 
-def rescanned_ray_summaries(points, ray_count, released_ids):
-    """Reference ``ray_summaries``: each ray rescans every point."""
+def rescanned_offer(points, ray_count, released_ids):
+    """Reference ``knapsack_offer``: each ray rescans every point."""
     out = []
     for j in range(ray_count):
         depths = [d for (r, d) in points.values() if r == j and d > EPS]
         if not depths:
-            out.append(RaySummary(j, 0.0, 0.0))
             continue
         length = max(depths)
         blocked = [d for rid, (r, d) in points.items()
                    if r == j and d > EPS and rid not in released_ids]
         prefix = length - max(blocked) if blocked else length
-        out.append(RaySummary(j, length, max(prefix, 0.0)))
+        out.append(KnapsackItem(j, length, max(prefix, 0.0)))
     return out
 
 
@@ -451,12 +467,29 @@ _DEPTHS = st.one_of(st.sampled_from([0.0, EPS / 2, EPS, 2 * EPS, 0.25, 0.5]),
 @given(st.integers(1, 300).flatmap(lambda k: st.tuples(
     st.just(k), st.lists(st.tuples(st.integers(0, k - 1), _DEPTHS, st.booleans()),
                          max_size=12))))
-def test_ray_summaries_match_per_ray_rescan(star):
+def test_knapsack_offer_matches_per_ray_rescan(star):
     """Most rays are empty once there are more rays than requests."""
     k, requests = star
     points = {i + 1: (r, d) for i, (r, d, _) in enumerate(requests)}
     released = {i + 1 for i, (_, _, known) in enumerate(requests) if known}
-    assert ray_summaries(points, k, released) == rescanned_ray_summaries(points, k, released)
+    assert knapsack_offer(points, released) == rescanned_offer(points, k, released)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_heavy_instances([("star", {"ray_count": k}) for k in (1, 3, 6)], max_n=8),
+       st.sampled_from(("exact", "fptas")), st.data())
+def test_alg3_does_not_depend_on_empty_rays(inst, mode, data):
+    """Spreading the rays over a larger star, in the same order, adds only
+    empty rays and keeps every distance."""
+    k = inst.space.ray_count
+    big = data.draw(st.one_of(st.integers(k, 4 * k + 20), st.just(1_000_000)))
+    spread = sorted(data.draw(st.lists(st.integers(0, big - 1), min_size=k, max_size=k,
+                                       unique=True)))
+    inst = replace(inst, variant=CLOSED)
+    wide = replace(inst, space=Star(big), requests=tuple(
+        replace(r, point=(spread[r.point[0]], r.point[1])) for r in inst.requests))
+    out, wide_out = simulate(inst, Alg3Star(mode)), simulate(wide, Alg3Star(mode))
+    assert (wide_out.completion, wide_out.services) == (out.completion, out.services)
 
 
 def test_alg3_requires_closed_star():
@@ -512,7 +545,7 @@ def test_alg3_round_trip_mop_matches_live_mop(inst, mode):
     inst = replace(inst, variant=CLOSED)
     pol, ref = Alg3Star(mode), LiveMopAlg3(mode)
     assert _run(inst, pol) == _run(inst, ref)
-    assert (pol.summaries, pol.chosen_rays) == (ref.summaries, ref.chosen_rays)
+    assert (pol.offer, pol.chosen_rays) == (ref.offer, ref.chosen_rays)
 
 
 # Algorithm 4 (open semi-line) ---------------------------------------------------------

@@ -88,6 +88,19 @@ def test_batch_pass_and_reproducible(tmp_path, capsys):
     assert "result=pass" in first
 
 
+def test_batch_out_file_holds_the_printed_report(tmp_path, capsys):
+    argv = [
+        "batch", "--kind", "star", "--variant", "closed",
+        "--policy", "alg3-star", "--count", "5", "--seed", "3", "--n", "6",
+    ]
+    assert run_cli(argv) == 0
+    printed = capsys.readouterr().out
+    target = tmp_path / "report.csv"
+    assert run_cli(argv + ["--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_text(encoding="utf-8") == printed
+
+
 def test_batch_bound_violation_exit_code(capsys):
     code = run_cli([
         "batch", "--kind", "semiline", "--variant", "closed",
