@@ -11,12 +11,23 @@ is bounded below by that order's fold (the fold only ever waits at request
 positions, which is enough: shifting any other waiting later along the same
 order never hurts).  Minimizing the fold over all orders is therefore exact,
 which the subset dynamic program below does in O(2^n * n^2) with one
-(n, C(n, k)) table per popcount layer k, ``tab[last, rank of mask]``.  Each
-layer is computed from the one below alone, about ``CHUNK`` cells at a time:
-one gather of predecessor columns, a broadcast add of the distance table, a
-min and a scatter.  It keeps no parent table: the order is rebuilt from the
-full mask backwards, each step taking the first minimum of the same float
-row.  A factorial brute force over the same fold serves as an independent
+(k, C(n, k)) table per popcount layer k: ``tab[p, c]`` is the least fold over
+the orders of the layer's c-th mask (masks in ascending order) that end at its
+p-th smallest member.  A cell's candidates are the k - 1 other members of its
+mask only, n(n - 1) 2^(n - 2) in all, half of what a table with a row for
+every request would hold.  A cached plan per n (:func:`_layer_plan`) holds,
+for each layer, the column below of each mask without each of its members and
+the flat distance-table index of each candidate's leg.  Each layer is computed
+from the one below alone, about ``CHUNK`` candidates at a time: a gather of
+predecessor columns, a gather of legs from the distance table, one add, a min
+over the previous member and the release clamp, written straight into the
+layer's table.  It keeps no parent table: the order is rebuilt from the full
+mask backwards, each step taking the first minimum of the same float row over
+the mask's members in ascending order.  That is the first minimum a per-cell
+argmin over all requests would take, since the rows of non-members could only
+hold inf, so the order is that of a DP with a row per request.  A cold call
+at n = 18 peaks below 62 MiB of ``tracemalloc`` and leaves 43 MiB of plan
+cached.  A factorial brute force over the same fold serves as an independent
 cross-check.  It folds the lexicographic order tree that alg1 walks
 (:func:`lex_tree`) one level at a time, in blocks of at most ``FOLD_ORDERS``
 leaves, and shares no code with the dynamic program.
@@ -25,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 
@@ -36,10 +47,10 @@ BRUTE_CAP = 10
 # The brute force folds at most this many orders at a time: all of them up to
 # n = 9, one leading request at a time at n = 10.
 FOLD_ORDERS = factorial(9)
-# Cells per DP step: its (n, n, CHUNK // n) float64 block of candidates, about
-# 286 KiB at n = 18, stays in a 1-2 MiB L2 cache.  That is the hardware's
+# Elements per DP gather block: a chunk's float64 candidates, 128 KiB, and the
+# distances added to them stay in a 1-2 MiB L2 cache.  That is the hardware's
 # property, not the instance's.
-CHUNK = 2048
+CHUNK = 16384
 
 
 @dataclass(frozen=True)
@@ -80,29 +91,30 @@ def opt_makespan(inst: Instance) -> OptResult:
     if n <= 3:
         return _best_by_enumeration(d0, dret, dmat, rel, closed)
 
-    rank, steps = _layer_plan(n)
-    tab = np.full((n, n), np.inf)  # layer 1: tab[last, rank of 1 << last] = tab[last, last]
-    tab[range(n), range(n)] = np.maximum(d0, rel)
+    plan = _layer_plan(n)
+    tab = np.maximum(d0, rel).reshape(1, n)  # layer 1: mask 1 << j has column j
     tabs = [tab]
-    for size, chunks in steps:
-        prev, tab = tab, np.full((n, size), np.inf)
-        for pred, cell in chunks:
-            # Stored int32 to bound the plan at n = 18; take is faster on intp.
-            cand = np.take(prev, pred.astype(np.intp), axis=1)  # cand[i, j, q]
-            cand += dmat[:, :, None]
-            best = cand.min(axis=0)
-            # min_i max(a_i, r) == max(min_i a_i, r) exactly: clamp once, after the min.
-            np.put(tab, cell.astype(np.intp), np.maximum(best, rel[:, None], out=best))
+    dist, rel_to = dmat.ravel(), np.empty((n, n))
+    rel_to[:] = rel  # rel_to[i, j] = rel[j], read at the flat index of the leg i -> j
+    for pred, chunks in plan:
+        prev, tab = tab, np.empty(pred.shape)
+        for cols, below, legs in chunks:
+            cand = prev.take(below, axis=1, mode="clip")  # cand[q, p, c]
+            cand += dist.take(legs, mode="clip")
+            best = cand.min(axis=0, out=tab[:, cols])
+            # min_q max(a_q, r) == max(min_q a_q, r) exactly: clamp once, after the min.
+            np.maximum(best, rel_to.take(legs[0], mode="clip"), out=best)
         tabs.append(tab)
 
     finals = tab[:, 0] + (dret if closed else 0.0)
-    j = int(np.argmin(finals))
-    makespan = float(finals[j])
-    order, mask = [j], ((1 << n) - 1) ^ (1 << j)
-    for tab in reversed(tabs[:-1]):  # the layer of popcount(mask)
-        j = int(np.argmin(np.maximum(tab[:, rank[mask]] + dmat[:, j], rel[j])))
-        order.append(j)
-        mask ^= 1 << j
+    p = int(np.argmin(finals))
+    makespan = float(finals[p])
+    members, order, col = list(range(n)), [], 0
+    for (pred, _), tab in zip(reversed(plan), reversed(tabs[:-1])):
+        order.append(j := members.pop(p))  # the p-th member of the mask in column col
+        col = pred[p, col]
+        p = int(np.argmin(np.maximum(tab[:, col] + dmat[members, j], rel[j])))
+    order.append(members.pop(p))
     order.reverse()
     _, times = _fold(order, d0, dret, dmat, rel, closed)
     return OptResult(makespan, tuple(i + 1 for i in order), tuple(times))
@@ -158,31 +170,37 @@ def opt_bruteforce(inst: Instance) -> OptResult:
 
 @lru_cache(maxsize=None)
 def _layer_plan(n: int):
-    """The DP's read-only int32 plan for n requests: ``rank[mask]``, a mask's
-    column in the table of its popcount layer (masks in ascending order), and
-    for each layer k >= 2 its table width C(n, k) with its (pred, cell) blocks.
-    Row j of both blocks runs over the layer's masks that hold j: ``pred`` is
-    the column in layer k - 1 of the mask without j, ``cell`` the flat cell
-    ``j * C(n, k) + rank`` it fills.  The blocks are cut into chunks of
-    ``CHUNK // n`` columns, about ``CHUNK`` cells each."""
-    masks = np.arange(1 << n, dtype=np.int32)
-    pops = sum((masks >> j) & 1 for j in range(n))
-    layers = [masks[pops == k] for k in range(n + 1)]
-    rank = np.empty(1 << n, dtype=np.int32)
-    for layer in layers:
-        rank[layer] = np.arange(len(layer))
-    width = CHUNK // n
+    """The DP's read-only plan for n requests, one ``(pred, chunks)`` per
+    layer k >= 2.  Column c of layer k is its c-th mask in ascending order,
+    whose members in ascending order are m_0 < ... < m_{k-1}.  The uint16
+    (k, C(n, k)) ``pred[p, c]`` is the column in layer k - 1 of the mask
+    without m_p.  The int16 legs ``legs[q, p, c] = source * n + m_p`` are flat
+    indices into the (n, n) distance table, the source being the q-th member
+    of that smaller mask.  ``chunks`` cuts both blocks into ``(cols, pred,
+    legs)`` views of ``CHUNK // (k * (k - 1))`` columns, so that a chunk's
+    legs, and the candidates gathered with them, are about ``CHUNK`` elements.
+
+    No mask is enumerated.  The masks of layer k whose largest member is m, in
+    ascending order, are m added to the first C(m, k - 1) masks of layer
+    k - 1.  Without m, the c-th of them is column c of layer k - 1; without a
+    smaller member it is m added to a mask of layer k - 2, which sits
+    C(m, k - 1) columns further on in layer k - 1 than that mask in layer
+    k - 2."""
+    held = np.arange(n, dtype=np.int16).reshape(1, n)  # layer 1: mask 1 << m in column m
+    pred = np.zeros((1, n), dtype=np.uint16)
     steps = []
-    for layer in layers[2:]:
-        held = [np.flatnonzero((layer >> j) & 1) for j in range(n)]
-        pred = np.stack([rank[layer[h] ^ (1 << j)] for j, h in enumerate(held)])
-        cell = np.stack([h + j * len(layer) for j, h in enumerate(held)]).astype(np.int32)
-        pred.flags.writeable = cell.flags.writeable = False
-        cuts = range(width, pred.shape[1], width)
-        steps.append((len(layer), tuple(zip(np.split(pred, cuts, axis=1),
-                                            np.split(cell, cuts, axis=1)))))
-    rank.flags.writeable = False
-    return rank, tuple(steps)
+    for k in range(2, n + 1):
+        tops = [(m, comb(m, k - 1)) for m in range(k - 1, n)]
+        pred = np.hstack([np.vstack([pred[:, :c] + c, np.arange(c, dtype=np.uint16)])
+                          for m, c in tops])
+        held = np.hstack([np.vstack([held[:, :c], np.full(c, m, dtype=np.int16)])
+                          for m, c in tops])
+        legs = np.stack([np.delete(held * n, p, 0) + m for p, m in enumerate(held)], axis=1)
+        pred.flags.writeable = legs.flags.writeable = False
+        w = CHUNK // (k * (k - 1))
+        steps.append((pred, tuple((np.s_[a:a + w], pred[:, a:a + w], legs[..., a:a + w])
+                                  for a in range(0, pred.shape[1], w))))
+    return tuple(steps)
 
 
 @lru_cache(maxsize=None)

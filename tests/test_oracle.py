@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_instance, tie_heavy_instances
 from oltsp_lab import (
@@ -313,13 +314,71 @@ def test_dp_equals_reference_dp_at_eleven_to_fourteen(kind, sp):
                 assert opt_makespan(inst) == _reference_dp(inst), (kind, n, horizon, variant)
 
 
+# With CHUNK elements per gather block the largest layers from n = 12 on are
+# cut into several chunks; the tie-break has to hold across the cuts.
+@settings(max_examples=25, deadline=None)
+@given(tie_heavy_instances(KINDS, max_n=13, min_n=11))
+def test_dp_equals_reference_dp_where_chunks_split_layers(inst):
+    assert opt_makespan(inst) == _reference_dp(inst)  # makespan, order and times, exactly
+
+
+def test_layer_plan_follows_the_masks():
+    """Layer k's columns are its masks in ascending order; ``pred`` and
+    ``legs`` follow from the members of each, and the chunks are views that
+    cut both into consecutive runs of columns."""
+    for n in range(2, 13):
+        layers = [[m for m in range(1 << n) if m.bit_count() == k] for k in range(n + 1)]
+        column = {m: c for layer in layers for c, m in enumerate(layer)}
+        plan = oracle._layer_plan(n)
+        assert len(plan) == n - 1
+        for k, (pred, chunks) in enumerate(plan, start=2):
+            held = [[j for j in range(n) if m >> j & 1] for m in layers[k]]
+            assert pred.tolist() == [[column[m ^ (1 << h[p])] for m, h in zip(layers[k], held)]
+                                     for p in range(k)]
+            legs = np.concatenate([part for _, _, part in chunks], axis=2)
+            assert legs.tolist() == [[[(h[:p] + h[p + 1:])[q] * n + h[p] for h in held]
+                                      for p in range(k)] for q in range(k - 1)]
+            starts = [cols.start for cols, _, _ in chunks]
+            assert starts == list(range(0, len(layers[k]), oracle.CHUNK // (k * (k - 1))))
+            for cols, below, part in chunks:
+                assert np.shares_memory(below, pred) and (below == pred[:, cols]).all()
+                assert not below.flags.writeable and not part.flags.writeable
+    assert max(len(chunks) for _, chunks in oracle._layer_plan(12)) > 1
+
+
 def test_dp_memory_bounded_at_cap():
+    """A cold call's peak, and the plan it leaves cached (43 MiB at n = 18)."""
     inst = generate_random(GenParams(n=MAX_REQUESTS, seed=11, release_horizon=1.0), "general")
     oracle._layer_plan.cache_clear()  # count the layer plan it builds as well
     tracemalloc.start()
     try:
         opt_makespan(inst)
-        _, peak = tracemalloc.get_traced_memory()
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+    assert retained < 48 * 2**20
+
+
+@settings(deadline=None)
+@given(tie_heavy_instances(KINDS, max_n=12), st.data())
+def test_raising_a_release_never_lowers_the_optimum(inst, data):
+    """Exact: ``max`` and ``+`` are monotone in floats, and so is a minimum
+    of their folds."""
+    k = data.draw(st.integers(0, inst.n - 1))
+    raise_by = data.draw(st.floats(0.0, 4.0))
+    reqs = list(inst.requests)
+    reqs[k] = Request(reqs[k].id, reqs[k].point, reqs[k].release + raise_by)
+    raised = Instance(inst.space, inst.variant, tuple(reqs))
+    assert opt_makespan(raised).makespan >= opt_makespan(inst).makespan
+
+
+@settings(deadline=None)
+@given(tie_heavy_instances(KINDS, max_n=12), st.randoms(use_true_random=False))
+def test_relabelling_requests_keeps_the_optimum(inst, rnd):
+    """Bit for bit: each order's fold is the same sequence of operations on
+    the same distances and releases under any labelling."""
+    reqs = list(inst.requests)
+    rnd.shuffle(reqs)
+    relabelled = make_instance(inst.space, inst.variant, [(r.point, r.release) for r in reqs])
+    assert opt_makespan(relabelled).makespan == opt_makespan(inst).makespan
