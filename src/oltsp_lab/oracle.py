@@ -25,8 +25,17 @@ layer's table.  It keeps no parent table: the order is rebuilt from the full
 mask backwards, each step taking the first minimum of the same float row over
 the mask's members in ascending order.  That is the first minimum a per-cell
 argmin over all requests would take, since the rows of non-members could only
-hold inf, so the order is that of a DP with a row per request.  A cold call
-at n = 18 peaks below 62 MiB of ``tracemalloc`` and leaves 43 MiB of plan
+hold inf, so the order is that of a DP with a row per request.
+
+A call allocates one float64 block of n 2^(n - 1) elements, which holds every
+layer's table (sum_k k C(n, k) = n 2^(n - 1)), and small per-request arrays.
+The chunks' gathers and the clamp write into views of two module-level
+buffers of ``CHUNK`` float64, shared by every n.  Fresh per-chunk arrays and a
+table per layer sat at 128 KiB, glibc's mmap threshold, so their pages went
+back to the kernel and were faulted in again on the next call: 740-765 minor
+faults per job of the ``oracle-dp`` benchmark, 0.5 now.  The shared
+buffers make the oracle unsafe to run from two threads at once.  A cold call
+at n = 18 peaks at 62.0 MiB of ``tracemalloc`` and leaves 43.8 MiB of plan
 cached.  A factorial brute force over the same fold serves as an independent
 cross-check.  It folds the lexicographic order tree that alg1 walks
 (:func:`lex_tree`) one level at a time, in blocks of at most ``FOLD_ORDERS``
@@ -51,6 +60,10 @@ FOLD_ORDERS = factorial(9)
 # distances added to them stay in a 1-2 MiB L2 cache.  That is the hardware's
 # property, not the instance's.
 CHUNK = 16384
+# The DP's chunk scratch, shared by every n: each chunk of a layer plan holds
+# views of these two buffers, so a call writes its gathers into memory the
+# process already holds.
+_SCRATCH = np.empty(CHUNK), np.empty(CHUNK)
 
 
 @dataclass(frozen=True)
@@ -80,7 +93,10 @@ def _fold(order, d0, dret, dmat, rel, closed: bool):
 
 
 def opt_makespan(inst: Instance) -> OptResult:
-    """Exact optimum via subset DP keyed on (visited mask, last request)."""
+    """Exact optimum via subset DP keyed on (visited mask, last request).
+
+    Not thread-safe: every call from n = 4 on writes its chunks into the same
+    module-level scratch, so two threads must not run it at once."""
     n = inst.n
     if n == 0:
         return OptResult(0.0, (), ())
@@ -92,28 +108,31 @@ def opt_makespan(inst: Instance) -> OptResult:
         return _best_by_enumeration(d0, dret, dmat, rel, closed)
 
     plan = _layer_plan(n)
-    tab = np.maximum(d0, rel).reshape(1, n)  # layer 1: mask 1 << j has column j
-    tabs = [tab]
+    block = np.empty(n << (n - 1))  # every layer's table: sum_k k C(n, k) = n 2^(n-1)
+    tab = block[:n].reshape(1, n)  # layer 1: mask 1 << j has column j
+    np.maximum(d0, rel, out=tab[0])
+    tabs, at = [tab], n
     dist, rel_to = dmat.ravel(), np.empty((n, n))
     rel_to[:] = rel  # rel_to[i, j] = rel[j], read at the flat index of the leg i -> j
     for pred, chunks in plan:
-        prev, tab = tab, np.empty(pred.shape)
-        for cols, below, legs in chunks:
-            cand = prev.take(below, axis=1, mode="clip")  # cand[q, p, c]
-            cand += dist.take(legs, mode="clip")
+        prev, tab = tab, block[at:at + pred.size].reshape(pred.shape)
+        at += pred.size
+        for cols, below, legs, cand, step, clamp in chunks:
+            prev.take(below, axis=1, mode="clip", out=cand)  # cand[q, p, c]
+            cand += dist.take(legs, mode="clip", out=step)
             best = cand.min(axis=0, out=tab[:, cols])
             # min_q max(a_q, r) == max(min_q a_q, r) exactly: clamp once, after the min.
-            np.maximum(best, rel_to.take(legs[0], mode="clip"), out=best)
+            np.maximum(best, rel_to.take(legs[0], mode="clip", out=clamp), out=best)
         tabs.append(tab)
 
     finals = tab[:, 0] + (dret if closed else 0.0)
-    p = int(np.argmin(finals))
+    p = int(finals.argmin())
     makespan = float(finals[p])
     members, order, col = list(range(n)), [], 0
     for (pred, _), tab in zip(reversed(plan), reversed(tabs[:-1])):
         order.append(j := members.pop(p))  # the p-th member of the mask in column col
         col = pred[p, col]
-        p = int(np.argmin(np.maximum(tab[:, col] + dmat[members, j], rel[j])))
+        p = int(np.maximum(tab[:, col] + dmat[members, j], rel[j]).argmin())
     order.append(members.pop(p))
     order.reverse()
     _, times = _fold(order, d0, dret, dmat, rel, closed)
@@ -177,8 +196,9 @@ def _layer_plan(n: int):
     without m_p.  The int16 legs ``legs[q, p, c] = source * n + m_p`` are flat
     indices into the (n, n) distance table, the source being the q-th member
     of that smaller mask.  ``chunks`` cuts both blocks into ``(cols, pred,
-    legs)`` views of ``CHUNK // (k * (k - 1))`` columns, so that a chunk's
-    legs, and the candidates gathered with them, are about ``CHUNK`` elements.
+    legs, ...)`` views of ``CHUNK // (k * (k - 1))`` columns, so that a chunk's
+    legs, and the candidates gathered with them, are about ``CHUNK`` elements;
+    each chunk also holds its views of the shared scratch (:func:`_chunk`).
 
     No mask is enumerated.  The masks of layer k whose largest member is m, in
     ascending order, are m added to the first C(m, k - 1) masks of layer
@@ -198,9 +218,17 @@ def _layer_plan(n: int):
         legs = np.stack([np.delete(held * n, p, 0) + m for p, m in enumerate(held)], axis=1)
         pred.flags.writeable = legs.flags.writeable = False
         w = CHUNK // (k * (k - 1))
-        steps.append((pred, tuple((np.s_[a:a + w], pred[:, a:a + w], legs[..., a:a + w])
+        steps.append((pred, tuple(_chunk(np.s_[a:a + w], pred[:, a:a + w], legs[..., a:a + w])
                                   for a in range(0, pred.shape[1], w))))
     return tuple(steps)
+
+
+def _chunk(cols, below, legs):
+    """A chunk of a layer plan with its scratch views: the gathered candidates
+    and legs, shaped like ``legs``, and the clamp's releases, shaped like
+    ``legs[0]``, which reuse the legs' buffer once they are added."""
+    cand, step = (buf[:legs.size].reshape(legs.shape) for buf in _SCRATCH)
+    return cols, below, legs, cand, step, step[0]
 
 
 @lru_cache(maxsize=None)

@@ -325,7 +325,8 @@ def test_dp_equals_reference_dp_where_chunks_split_layers(inst):
 def test_layer_plan_follows_the_masks():
     """Layer k's columns are its masks in ascending order; ``pred`` and
     ``legs`` follow from the members of each, and the chunks are views that
-    cut both into consecutive runs of columns."""
+    cut both into consecutive runs of columns.  Each chunk's scratch views are
+    shaped for its gathers and lie in the shared scratch, not in the plan."""
     for n in range(2, 13):
         layers = [[m for m in range(1 << n) if m.bit_count() == k] for k in range(n + 1)]
         column = {m: c for layer in layers for c, m in enumerate(layer)}
@@ -335,15 +336,40 @@ def test_layer_plan_follows_the_masks():
             held = [[j for j in range(n) if m >> j & 1] for m in layers[k]]
             assert pred.tolist() == [[column[m ^ (1 << h[p])] for m, h in zip(layers[k], held)]
                                      for p in range(k)]
-            legs = np.concatenate([part for _, _, part in chunks], axis=2)
+            legs = np.concatenate([chunk[2] for chunk in chunks], axis=2)
             assert legs.tolist() == [[[(h[:p] + h[p + 1:])[q] * n + h[p] for h in held]
                                       for p in range(k)] for q in range(k - 1)]
-            starts = [cols.start for cols, _, _ in chunks]
+            starts = [chunk[0].start for chunk in chunks]
             assert starts == list(range(0, len(layers[k]), oracle.CHUNK // (k * (k - 1))))
-            for cols, below, part in chunks:
+            for cols, below, part, cand, step, clamp in chunks:
                 assert np.shares_memory(below, pred) and (below == pred[:, cols]).all()
                 assert not below.flags.writeable and not part.flags.writeable
+                assert cand.shape == step.shape == part.shape and clamp.shape == part[0].shape
+                for view in (cand, step, clamp):
+                    assert view.dtype == np.float64 and view.size <= oracle.CHUNK
+                    assert any(np.shares_memory(view, buf) for buf in oracle._SCRATCH)
+                    assert not np.shares_memory(view, pred) and not np.shares_memory(view, part)
+                assert not np.shares_memory(cand, step)  # both gathers are live at the add
     assert max(len(chunks) for _, chunks in oracle._layer_plan(12)) > 1
+
+
+def test_dp_warm_call_allocates_only_its_table_block():
+    """A warm call writes its chunks into the shared scratch and its layer
+    tables into one block of n 2^(n-1) float64; switching n between calls
+    never lets one size's scratch reach another's result."""
+    insts = {n: generate_random(GenParams(n=n, seed=7900 + n, release_horizon=1.0), "general")
+             for n in (12, 13, 14)}
+    for n in (12, 14):
+        opt_makespan(insts[n])
+        tracemalloc.start()
+        try:
+            opt_makespan(insts[n])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (n << (n - 1)) * 8 + 192 * 2**10, (n, peak)
+    for n in (14, 12, 13, 14):
+        assert opt_makespan(insts[n]) == _reference_dp(insts[n]), n
 
 
 def test_dp_memory_bounded_at_cap():
