@@ -35,11 +35,16 @@ EXACT_KNAPSACK_CAP = 20
 # The most int16 indices one take converts to intp at once (315 KiB): a
 # leading request's share of an n = 9 level that holds n! nodes.
 TAKE_INDICES = math.factorial(8)
-# alg1 keeps the frontier of every released set it walks up to this many
-# requests.  Those walks are dominated by numpy's per-call cost, which the
-# cache saves; the frontiers of all 2^n sets hold 37,072 nodes (290 KiB) at
-# n = 7, but 297,600 (2.3 MiB) at n = 8.
+# Up to this many requests alg1 walks the whole frontier of each released set
+# and keeps it for later runs, and its commit scores every order; from one
+# more on both prune.  With so few orders numpy's per-call cost, not the array
+# work, sets the cost of a walk or a commit.  The frontiers of all 2^n sets
+# hold 37,072 nodes (290 KiB) at n = 7, but 297,600 (2.3 MiB) at n = 8.
 FRONTIER_CACHE_N = 7
+# The least length whose half is exact whatever its last bit: below it, half
+# of a length can be rounded, and twice the half then misses the length by
+# 2^-1074.  alg1's walk prunes no node below it (see ``Alg1General``).
+TINY_HALF = 2.0 ** -1021
 
 
 # Moves shared by the policies ---------------------------------------------------
@@ -222,18 +227,22 @@ class Alg1Workspace:
 
     ``prefix[k]`` holds level k of :func:`oracle.lex_tree`, one distance per
     node, shaped like its stops; ``grids[k]`` is the same memory shaped like
-    its legs, one row of children per parent.  ``ell`` takes a closed run's
-    lengths (an open run's are ``prefix[-1]``), ``half`` the half lengths and
-    then the commit's objective.  ``minhalf[k].take(nodes)`` is the least
-    half length below each of ``nodes`` on level k: kept per node down to level
-    n - 4, taken from pairs of leaves on level n - 3, and ``half`` itself on
-    the two deepest levels, which hold one leaf per node.  Per level,
-    ``reached[k]`` is ``prefix[k]`` flat, ``leaves[k]`` is ``half`` as one row
-    of leaves per node, ``stops[k]`` is an int8 copy of the stops in node
-    order (the tree lays them out by leading request, so a flat view would
-    be a copy too) and ``children[k]`` is ``arange(n - k)``, the offsets of a
-    node's children on level k.  ``unreleased[R]`` marks the requests outside
-    the released set R, and ``frontiers`` keeps the frontiers walked so far.
+    its legs, one row of children per parent, and ``columns[k]`` the same
+    again with one row per child offset, for adding the parents' distances a
+    child column at a time.  ``ell`` takes a closed run's lengths (an open
+    run's are ``prefix[-1]``), ``half`` the half lengths (a commit that
+    scores every order overwrites them).
+    ``minhalf[k].take(nodes)`` is the least half length below each of
+    ``nodes`` on level k: kept per node down to level n - 4, taken from pairs
+    of leaves on level n - 3, and ``half`` itself on the two deepest levels,
+    which hold one leaf per node.  Per level, ``reached[k]`` is ``prefix[k]``
+    flat, ``leaves[k]`` is ``half`` as one row of leaves per node, ``stops[k]``
+    is an int8 copy of the stops in node order (the tree lays them out by
+    leading request, so a flat view would be a copy too) and ``children[k]``
+    is ``arange(n - k)``, the offsets of a node's children on level k.
+    ``unreleased[R]`` marks the requests outside the released set R.  Up to
+    ``FRONTIER_CACHE_N`` requests, ``frontiers`` keeps the whole frontier of
+    every released set walked so far: it depends only on n and the set.
     """
 
     def __init__(self, n: int):
@@ -243,6 +252,7 @@ class Alg1Workspace:
         self.prefix = [np.empty(stops.shape) for stops, _ in levels]
         self.grids = [None] + [p.reshape(legs.shape)
                                for p, (_, legs) in zip(self.prefix[1:], levels[1:])]
+        self.columns = [None] + [p.reshape(-1, n - k).T for k, p in enumerate(self.prefix[1:], 1)]
         self.minhalf = ([np.empty(stops.size) for stops, _ in levels[:-3]]
                         + [_PairMinima(self.half), self.half, self.half][-n:])
         # The deepest level's stops are never read: a node there has every
@@ -253,30 +263,6 @@ class Alg1Workspace:
         self.children = [np.arange(n - k) for k in range(n)]
         self.unreleased = (np.arange(1 << n)[:, None] >> np.arange(n) & 1) == 0
         self.frontiers: Dict[int, list] = {}
-
-    def frontier(self, released_bits: int, released: int) -> list:
-        """The frontier of a released set R, per level the nodes whose stops
-        above are all in R and whose own is not.  It depends only on n and R,
-        so up to ``FRONTIER_CACHE_N`` requests it is kept for the next run."""
-        frontier = self.frontiers.get(released_bits)
-        if frontier is not None:
-            return frontier
-        # take and compress, and children laid out child by child: numpy's
-        # boolean indexing and a broadcast over a short last axis are several
-        # times slower on the deep levels.
-        unreleased = self.unreleased[released_bits]
-        frontier = []
-        nodes, out = self.children[0], unreleased  # level 0: node a stops at a
-        for k in range(released):
-            frontier.append(nodes.compress(out))
-            nodes = (nodes.compress(~out) * len(self.children[k + 1])
-                     + self.children[k + 1][:, None]).ravel()
-            if k + 1 < released:
-                out = unreleased.take(self.stops[k + 1].take(nodes))
-        frontier.append(nodes)  # all ``released`` stops above, so not its own
-        if len(self.levels) <= FRONTIER_CACHE_N:
-            self.frontiers[released_bits] = frontier
-        return frontier
 
 
 # One spare workspace per n: a run takes it in ``begin`` and puts it back in
@@ -315,6 +301,38 @@ class Alg1General(Route):
     needed: a set is fully released only once its latest release is due, at
     most ``now + EPS``, so that release can never hold the start back.
 
+    The threshold never rises: the released set only grows, and an order
+    that qualifies keeps qualifying, since its first unreleased stop can only
+    move later and its distances never fall (``fl(a + b) >= a``).  So each
+    walk starts from the last threshold, ``best``.  The least half length
+    below a node can only grow down the tree, so a node whose stop is
+    released and whose least half length is above ``best`` (or above
+    ``TINY_HALF``, whichever is larger) holds no frontier node that can lower
+    the threshold, and from ``FRONTIER_CACHE_N + 1`` requests on the walk
+    does not expand it.  It prunes on ``>`` only: a node whose least half
+    length equals ``best`` can hold the order the commit must choose.
+
+    The commit chooses the lexicographically first order with the least
+    objective (1 - beta) * length, beta = min(distance into its first
+    unreleased stop / length, 1/2).  Every objective is at least its half
+    length, and the threshold's own order scores the threshold T, so the
+    optimum is at most T and only frontier nodes with a least half length
+    at most T can hold it.  Below a frontier node every order shares the
+    distance into it, and the objective does not fall as the length grows,
+    in floats too; so the objective at twice a node's least half length, its
+    bound, is the least objective below it, and some order below scores it
+    exactly.  One pass down the levels keeps, on each, the first node with
+    the least bound among the children of the last level's node and the
+    frontier nodes there: another node with the same or a larger bound holds
+    no order that both scores the least and comes first, since the kept node
+    holds one before it or one scoring less.  The pass ends on the chosen
+    leaf.  Twice a half length is the length only from ``TINY_HALF`` on, so
+    when some half length is shorter (an order of length 0, say) every order
+    is scored instead, as it is up to ``FRONTIER_CACHE_N`` requests.  Every
+    order below a pruned node scores above T or ``TINY_HALF``, whichever is
+    larger, which bounds the optimum.  With all released, every objective is
+    the half length.
+
     A distance shared by (n-k-1)! orders is summed once per tree node, by the
     same float additions as an order's own fold.  Every per-node and
     per-order array lives in an :class:`Alg1Workspace`: ``begin`` takes the
@@ -352,9 +370,13 @@ class Alg1General(Route):
         d0 = d0.reshape(n, 1, 1)  # level 0: node a stops at a
         np.copyto(prefix[0], d0)
         between = 0.0
-        for (_, legs), grid, p in zip(levels[1:], ws.grids[1:], prefix[1:]):
+        for (_, legs), grid, columns, p in zip(levels[1:], ws.grids[1:], ws.columns[1:],
+                                               ws.reached[1:]):
             _take(dmat, legs, grid)
-            grid += between
+            # One child column at a time: numpy would otherwise run its
+            # inner loop over a node's few children, twice as slow on the
+            # deep levels.
+            np.add(columns, between, out=columns, order="C")
             between = p
         for p in prefix[1:]:
             p += d0
@@ -383,7 +405,7 @@ class Alg1General(Route):
         self.first_level = next((k for k in range(n) if (
             minhalf[k] <= reached[k] if k < n - 3 else ws.leaves[k] <= reached[k][:, None]
         ).any()), n)
-        self.released_bits = -1
+        self.released_bits, self.threshold = -1, math.inf
 
     def _waiting_step(self, obs: Observation) -> Optional[Action]:
         released_bits = 0
@@ -391,7 +413,8 @@ class Alg1General(Route):
             released_bits |= 1 << (rid - 1)
         if released_bits != self.released_bits:  # the released set only grows
             self.released_bits = released_bits
-            self.threshold, self.frontier = self._walk(released_bits, len(obs.released))
+            self.threshold, self.frontier = self._walk(
+                released_bits, len(obs.released), self.threshold)
         if self.threshold == math.inf:
             return WaitForRelease(None)
         if self.threshold > obs.now + EPS:
@@ -399,49 +422,113 @@ class Alg1General(Route):
         self._commit(obs)
         return None
 
-    def _walk(self, released_bits: int, released: int) -> Tuple[float, list]:
-        """The start threshold for a released set and its frontier."""
+    def _walk(self, released_bits: int, released: int,
+              best: float = math.inf) -> Tuple[float, list]:
+        """The start threshold of a released set R, and per level the nodes
+        of its frontier that the walk reaches.  ``best`` is known to be at
+        least the threshold: the threshold of a set that R contains, or inf.
+        The frontier nodes are in node order."""
         ws, n = self.ws, self.ctx.n
         if released == n:
             return float(ws.minhalf[0].take(ws.children[0]).min()), []
         if released < self.first_level:
             return math.inf, []
-        frontier = ws.frontier(released_bits, released)
-        best = math.inf
-        for k in range(self.first_level, released + 1):
-            least = ws.minhalf[k].take(frontier[k])
-            least = least.compress(least <= ws.reached[k].take(frontier[k]))
-            if least.size:
-                best = min(best, least.min())
-        return float(best), frontier
+        cached = ws.frontiers.get(released_bits)
+        frontier = cached or []
+        unreleased = ws.unreleased[released_bits]
+        nodes, out = ws.children[0], unreleased  # level 0: node a stops at a
+        for k in range(released + 1):
+            if cached is None:
+                frontier.append(nodes.compress(out) if k < released else nodes)
+            edge = frontier[k]
+            if k >= self.first_level:
+                least = ws.minhalf[k].take(edge)
+                best = float(least.min(where=least <= ws.reached[k].take(edge), initial=best))
+            if cached is not None or k == released:
+                continue
+            # Expand the released nodes; when no frontier is kept, only those
+            # whose least half length is not above the threshold so far.  The
+            # children are laid out node by node, so the nodes stay in order.
+            nodes = nodes.compress(~out)
+            if n > FRONTIER_CACHE_N:
+                nodes = nodes.compress(ws.minhalf[k].take(nodes) <= max(best, TINY_HALF))
+            kids = ws.children[k + 1]
+            nodes = (nodes[:, None] * len(kids) + kids).ravel()
+            if k + 1 < released:
+                out = unreleased.take(ws.stops[k + 1].take(nodes))
+        if n <= FRONTIER_CACHE_N:
+            ws.frontiers[released_bits] = frontier
+        return best, frontier
 
     def _commit(self, obs: Observation) -> None:
         n, ws, ell = self.ctx.n, self.ws, self.ell
-        # The distance into each order's first unreleased stop, or its length
-        # when all are released.  The frontier nodes' leaf blocks cover every
-        # order once.  It goes where the half lengths were: the walk is done
-        # with them.
-        num = ws.half
-        if self.frontier:
-            for leaves, reached, edge in zip(ws.leaves, ws.reached, self.frontier):
-                leaves[edge] = reached.take(edge)[:, None]
-        else:
-            np.copyto(num, ell)
-        # num <= ell, so num / ell is 0 / 0 only for an order of length 0;
-        # fmin passes over that nan and takes 1/2, as for any ratio >= 1/2.
-        # Then the objective (1 - beta) * ell, all in place.
-        with np.errstate(invalid="ignore"):
-            np.divide(num, ell, out=num)
-        np.fmin(num, 0.5, out=num)
-        np.subtract(1.0, num, out=num)
-        objective = np.multiply(num, ell, out=num)
-        i1 = int(np.argmin(objective))  # ties: lexicographically first order
-        self.order = [int(stops.flat[i1 // (len(num) // stops.size)]) + 1
+        with np.errstate(invalid="ignore"):  # 0 / 0 for a length of 0
+            if (n > FRONTIER_CACHE_N and self.frontier
+                    and ws.minhalf[0].take(ws.children[0]).min() >= TINY_HALF):
+                i1, value = self._first_least()
+            else:
+                # Every order is scored.  With all released, its objective is
+                # its half length.  Otherwise the distance into each order's
+                # first unreleased stop goes where its half length was; an
+                # order below a node the walk pruned keeps its half length,
+                # and scores at least that, which is above the optimum.
+                objective = ws.half
+                if self.frontier:
+                    for leaves, reached, edge in zip(ws.leaves, ws.reached, self.frontier):
+                        leaves[edge] = reached.take(edge)[:, None]
+                    _objective(ws.half, ell, out=ws.half)
+                i1 = int(objective.argmin())  # ties: lexicographically first order
+                value = objective[i1]
+        self.order = [int(stops.flat[i1 // (len(ell) // stops.size)]) + 1
                       for stops, _ in ws.levels]
         self.chosen_t = obs.now
-        self.chosen_objective = float(objective[i1])
+        self.chosen_objective = float(value)
         del self.ws, self.ell, self.frontier
         ALG1_SPARES[n] = ws
+
+    def _first_least(self) -> Tuple[int, float]:
+        """The first leaf with the least objective, and that objective, while
+        some request is unreleased: one pass down the levels, keeping on each
+        the first node with the least bound."""
+        n, ws, cutoff = self.ctx.n, self.ws, self.threshold
+        best = None  # (bound, node, num) on the current level
+        for k in range(n):
+            if k < len(self.frontier) and self.frontier[k].size:
+                edge = self.frontier[k]
+                # A bound is never below the node's least half length.
+                edge = edge.compress(ws.minhalf[k].take(edge) <= cutoff)
+                if edge.size:
+                    num = ws.reached[k].take(edge)
+                    bounds = self._bound(k, edge, num)
+                    i = int(bounds.argmin())  # the first least: the frontier is in order
+                    first = float(bounds[i]), int(edge[i]), float(num[i])
+                    best = first if best is None else min(best, first)
+            if best is None or k >= n - 2:  # node i on the two deepest levels is leaf i
+                continue
+            _, node, num = best
+            kids = node * len(ws.children[k + 1]) + ws.children[k + 1]
+            bounds = self._bound(k + 1, kids, num)
+            i = int(bounds.argmin())  # the first least: children are in order
+            best = float(bounds[i]), int(kids[i]), num
+        return best[1], best[0]
+
+    def _bound(self, k: int, nodes: np.ndarray, num) -> np.ndarray:
+        """The objective of each node's shortest order, the distance into its
+        first unreleased stop being ``num``."""
+        least = self.ws.minhalf[k].take(nodes)
+        least *= 2
+        return _objective(num, least)
+
+
+def _objective(num, ell: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """alg1's objective (1 - beta) * ell per order, with beta = num / ell
+    capped at 1/2.  num <= ell, so num / ell is 0 / 0 only for an order of
+    length 0; fmin passes over that nan and takes 1/2, as for any ratio >=
+    1/2."""
+    ratio = np.divide(num, ell, out=out)
+    np.fmin(ratio, 0.5, out=ratio)
+    np.subtract(1.0, ratio, out=ratio)
+    return np.multiply(ratio, ell, out=ratio)
 
 
 # Ring policy (closed) -----------------------------------------------------------

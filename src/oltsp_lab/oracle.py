@@ -114,7 +114,7 @@ def opt_makespan(inst: Instance) -> OptResult:
     tabs, at = [tab], n
     dist, rel_to = dmat.ravel(), np.empty((n, n))
     rel_to[:] = rel  # rel_to[i, j] = rel[j], read at the flat index of the leg i -> j
-    for pred, chunks in plan:
+    for pred, _, chunks in plan:
         prev, tab = tab, block[at:at + pred.size].reshape(pred.shape)
         at += pred.size
         for cols, below, legs, cand, step, clamp in chunks:
@@ -129,10 +129,11 @@ def opt_makespan(inst: Instance) -> OptResult:
     p = int(finals.argmin())
     makespan = float(finals[p])
     members, order, col = list(range(n)), [], 0
-    for (pred, _), tab in zip(reversed(plan), reversed(tabs[:-1])):
+    for (pred, legs, _), tab in zip(reversed(plan), reversed(tabs[:-1])):
         order.append(j := members.pop(p))  # the p-th member of the mask in column col
+        into = dist.take(legs[:, p, col])  # from each member left, ascending, to j
         col = pred[p, col]
-        p = int(np.maximum(tab[:, col] + dmat[members, j], rel[j]).argmin())
+        p = int(np.maximum(tab[:, col] + into, rel[j]).argmin())
     order.append(members.pop(p))
     order.reverse()
     _, times = _fold(order, d0, dret, dmat, rel, closed)
@@ -189,16 +190,17 @@ def opt_bruteforce(inst: Instance) -> OptResult:
 
 @lru_cache(maxsize=None)
 def _layer_plan(n: int):
-    """The DP's read-only plan for n requests, one ``(pred, chunks)`` per
-    layer k >= 2.  Column c of layer k is its c-th mask in ascending order,
+    """The DP's read-only plan for n requests, one ``(pred, legs, chunks)``
+    per layer k >= 2.  Column c of layer k is its c-th mask in ascending order,
     whose members in ascending order are m_0 < ... < m_{k-1}.  The uint16
     (k, C(n, k)) ``pred[p, c]`` is the column in layer k - 1 of the mask
     without m_p.  The int16 legs ``legs[q, p, c] = source * n + m_p`` are flat
     indices into the (n, n) distance table, the source being the q-th member
-    of that smaller mask.  ``chunks`` cuts both blocks into ``(cols, pred,
-    legs, ...)`` views of ``CHUNK // (k * (k - 1))`` columns, so that a chunk's
-    legs, and the candidates gathered with them, are about ``CHUNK`` elements;
-    each chunk also holds its views of the shared scratch (:func:`_chunk`).
+    of that smaller mask; the walk back reads the legs of one cell at a time.
+    ``chunks`` cuts both blocks into ``(cols, pred, legs, ...)`` views of
+    ``CHUNK // (k * (k - 1))`` columns, so that a chunk's legs, and the
+    candidates gathered with them, are about ``CHUNK`` elements; each chunk
+    also holds its views of the shared scratch (:func:`_chunk`).
 
     No mask is enumerated.  The masks of layer k whose largest member is m, in
     ascending order, are m added to the first C(m, k - 1) masks of layer
@@ -218,8 +220,9 @@ def _layer_plan(n: int):
         legs = np.stack([np.delete(held * n, p, 0) + m for p, m in enumerate(held)], axis=1)
         pred.flags.writeable = legs.flags.writeable = False
         w = CHUNK // (k * (k - 1))
-        steps.append((pred, tuple(_chunk(np.s_[a:a + w], pred[:, a:a + w], legs[..., a:a + w])
-                                  for a in range(0, pred.shape[1], w))))
+        chunks = tuple(_chunk(np.s_[a:a + w], pred[:, a:a + w], legs[..., a:a + w])
+                       for a in range(0, pred.shape[1], w))
+        steps.append((pred, legs, chunks))
     return tuple(steps)
 
 

@@ -1,8 +1,10 @@
 import gc
 import itertools
+import math
 import tracemalloc
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -247,6 +249,104 @@ def test_alg1_matches_per_order_at_eight_and_nine(kind, sp):
             _assert_frontier_thresholds(ref)
 
 
+def _carried_walks(ref, inst, count):
+    """A fresh alg1 run on ``inst`` (begun with the reference's context) that
+    walks the released sets of its release order, one request at a time, up
+    to ``count`` requests, each walk carrying the threshold of the last.
+    Yields the run and the released bits after each walk."""
+    pol = Alg1General()
+    pol.begin(ref.ctx)
+    order = sorted(range(inst.n), key=lambda j: (inst.requests[j].release, j))
+    bits, pol.threshold = 0, math.inf
+    for released in range(count + 1):
+        if released:
+            bits |= 1 << order[released - 1]
+        pol.threshold, pol.frontier = pol._walk(bits, released, pol.threshold)
+        yield pol, bits
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy_instances(ALG1_KINDS, max_n=8, min_n=6))
+def test_alg1_walks_with_the_carried_threshold_match_per_order(inst):
+    """With the threshold of the last released set carried into each walk,
+    every threshold is the per-order reference's, and committing at any
+    released set with a finite threshold chooses the reference's order and
+    objective.  From 8 requests on the walk prunes and the commit makes its
+    one pass down the levels."""
+    ref, pol = PerOrderAlg1(), Alg1General()
+    ref_out, out = simulate(inst, ref), simulate(inst, pol)
+    assert _alg1_choice(pol) == _alg1_choice(ref)
+    assert out.completion == ref_out.completion
+    table = needed_set_table(ref)
+    for walker, bits in _carried_walks(ref, inst, inst.n):
+        assert walker.threshold == table[bits], bits
+    for released in range(inst.n + 1):
+        *_, (walker, bits) = _carried_walks(ref, inst, released)
+        if walker.threshold == math.inf:
+            continue
+        now = SimpleNamespace(now=walker.threshold)
+        walker._commit(now)
+        ref._commit(now, bits)
+        assert (walker.order, walker.chosen_objective) == (ref.order, ref.chosen_objective), bits
+
+
+def test_alg1_walk_keeps_nodes_at_the_carried_threshold():
+    """Every order of eight requests at distance 1 from each other and from
+    the origin has length 8.  With request 8 held back, the threshold is 4
+    while 2..7 alone are out; once 1 is out too, the carried threshold 4 is
+    every node's least half length, and the first order, 1 2 ... 8, lies
+    below the nodes a walk pruning on ``>=`` would drop."""
+    n = 8
+    rows = [[0.0 if i == j else 1.0 for j in range(n + 1)] for i in range(n + 1)]
+    releases = [0.5] + [0.0] * (n - 2) + [100.0]
+    inst = make_instance(General.from_rows(rows), OPEN,
+                         [(j + 1, r) for j, r in enumerate(releases)])
+    ref, pol = PerOrderAlg1(), Alg1General()
+    simulate(inst, ref), simulate(inst, pol)
+    assert pol.chosen_t == 4.0 and pol.order == list(range(1, n + 1))
+    assert _alg1_choice(pol) == _alg1_choice(ref)
+
+
+@pytest.mark.parametrize("unit", [2.0 ** -1074, 2.0 ** -1073, 0.0])
+def test_alg1_matches_per_order_below_tiny_half(unit):
+    """Lengths below ``TINY_HALF`` (subnormal, or all 0), where half a length
+    can be rounded and twice it miss the length: every threshold and the
+    choice are still the per-order reference's, with the walk pruning at 8."""
+    rng = np.random.default_rng(5)
+    for n in (6, 8):
+        for variant in (OPEN, CLOSED):
+            rows = rng.integers(1, 5, size=(n + 1, n + 1)) * unit  # exact sums of units
+            rows = np.minimum(rows, rows.T)
+            np.fill_diagonal(rows, 0.0)
+            for k in range(n + 1):  # shortest paths, so the triangle inequality holds
+                rows = np.minimum(rows, rows[:, [k]] + rows[[k], :])
+            releases = rng.integers(0, 3, size=n) * 0.5
+            inst = make_instance(General.from_rows(rows.tolist()), variant,
+                                 [(j + 1, r) for j, r in enumerate(releases)])
+            ref, pol = PerOrderAlg1(), Alg1General()
+            simulate(inst, ref), simulate(inst, pol)
+            assert _alg1_choice(pol) == _alg1_choice(ref), (n, variant)
+            _assert_frontier_thresholds(ref)
+
+
+def test_alg1_walk_prunes_no_node_below_tiny_half():
+    """Distances in units of 2^-1074, found by a seeded search.  The
+    threshold is 2 units and the least objective 3, above it, as half of an
+    odd number of units is rounded; a walk that pruned on the threshold
+    alone would drop the first order scoring 3 units."""
+    units = [[0, 3, 1, 2, 1, 1, 2, 1, 1], [3, 0, 2, 2, 2, 3, 2, 2, 2],
+             [1, 2, 0, 1, 0, 2, 1, 0, 0], [2, 2, 1, 0, 1, 1, 0, 1, 1],
+             [1, 2, 0, 1, 0, 2, 1, 0, 0], [1, 3, 2, 1, 2, 0, 1, 2, 2],
+             [2, 2, 1, 0, 1, 1, 0, 1, 1], [1, 2, 0, 1, 0, 2, 1, 0, 0],
+             [1, 2, 0, 1, 0, 2, 1, 0, 0]]
+    space = General.from_rows([[u * 2.0 ** -1074 for u in row] for row in units])
+    releases = [0.5, 0.5, 0.5, 1.5, 0.5, 1.0, 0.0, 0.0]
+    inst = make_instance(space, OPEN, [(j + 1, r) for j, r in enumerate(releases)])
+    ref, pol = PerOrderAlg1(), Alg1General()
+    simulate(inst, ref), simulate(inst, pol)
+    assert _alg1_choice(pol) == _alg1_choice(ref) == (0.5, [5, 2, 4, 7, 8, 3, 6, 1], 1.5e-323)
+
+
 def _at_cap(seed):
     params = GenParams(n=Alg1General.max_requests, seed=seed, release_horizon=1.0)
     return generate_random(params, "general", variant=CLOSED)
@@ -271,6 +371,32 @@ def test_alg1_memory_bounded_at_cap():
 def test_alg1_warm_run_allocates_no_workspace():
     simulate(_at_cap(11), Alg1General())  # leaves the spare workspace for n = 9
     assert _traced_peak(_at_cap(12)) < 4 * 2**20
+
+
+def test_alg1_commit_with_one_request_held_back_stays_small():
+    """A warm n = 9 commit while the last request is unreleased allocates no
+    per-order array: the tracemalloc peak of the commit alone was 318 KiB
+    when it wrote every order, and is a few KiB now."""
+    base = _at_cap(31)
+    inst = make_instance(base.space, CLOSED, [(r.point, 0.0 if r.id < 9 else 100.0)
+                                              for r in base.requests])
+    simulate(inst, Alg1General())  # leaves the spare workspace for n = 9
+    peaks = []
+
+    class Measured(Alg1General):
+        def _commit(self, obs):
+            assert len(obs.released) == 8
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            super()._commit(obs)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+
+    tracemalloc.start()
+    try:
+        simulate(inst, Measured())
+    finally:
+        tracemalloc.stop()
+    assert peaks and peaks[0] < 64 * 2**10
 
 
 def _alg1_arrays(pol):

@@ -332,13 +332,15 @@ def test_layer_plan_follows_the_masks():
         column = {m: c for layer in layers for c, m in enumerate(layer)}
         plan = oracle._layer_plan(n)
         assert len(plan) == n - 1
-        for k, (pred, chunks) in enumerate(plan, start=2):
+        for k, (pred, legs, chunks) in enumerate(plan, start=2):
             held = [[j for j in range(n) if m >> j & 1] for m in layers[k]]
             assert pred.tolist() == [[column[m ^ (1 << h[p])] for m, h in zip(layers[k], held)]
                                      for p in range(k)]
-            legs = np.concatenate([chunk[2] for chunk in chunks], axis=2)
             assert legs.tolist() == [[[(h[:p] + h[p + 1:])[q] * n + h[p] for h in held]
                                       for p in range(k)] for q in range(k - 1)]
+            assert not legs.flags.writeable
+            assert (np.concatenate([chunk[2] for chunk in chunks], axis=2) == legs).all()
+            assert all(np.shares_memory(chunk[2], legs) for chunk in chunks)
             starts = [chunk[0].start for chunk in chunks]
             assert starts == list(range(0, len(layers[k]), oracle.CHUNK // (k * (k - 1))))
             for cols, below, part, cand, step, clamp in chunks:
@@ -350,7 +352,7 @@ def test_layer_plan_follows_the_masks():
                     assert any(np.shares_memory(view, buf) for buf in oracle._SCRATCH)
                     assert not np.shares_memory(view, pred) and not np.shares_memory(view, part)
                 assert not np.shares_memory(cand, step)  # both gathers are live at the add
-    assert max(len(chunks) for _, chunks in oracle._layer_plan(12)) > 1
+    assert max(len(chunks) for *_, chunks in oracle._layer_plan(12)) > 1
 
 
 def test_dp_warm_call_allocates_only_its_table_block():
