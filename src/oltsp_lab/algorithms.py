@@ -41,10 +41,14 @@ TAKE_INDICES = math.factorial(8)
 # work, sets the cost of a walk or a commit.  The frontiers of all 2^n sets
 # hold 37,072 nodes (290 KiB) at n = 7, but 297,600 (2.3 MiB) at n = 8.
 FRONTIER_CACHE_N = 7
-# The least length whose half is exact whatever its last bit: below it, half
-# of a length can be rounded, and twice the half then misses the length by
-# 2^-1074.  alg1's walk prunes no node below it (see ``Alg1General``).
+# The least length whose half is exact whatever its last bit: below it,
+# halving a length can round.  alg1 keeps every node whose least half length
+# is at most its start threshold or this floor, whichever is larger (see
+# ``Alg1General``).
 TINY_HALF = 2.0 ** -1021
+# 0.5 as an array: numpy converts a Python float operand on every call, which
+# is a third of what alg1's walk pays per halving at n <= FRONTIER_CACHE_N.
+HALF = np.array(0.5)
 
 
 # Moves shared by the policies ---------------------------------------------------
@@ -208,15 +212,15 @@ def _knapsack_fptas(items, capacity, eps) -> KnapsackResult:
 
 
 class _PairMinima:
-    """The least half length below each node of the level whose nodes hold
-    two leaves, computed for the nodes asked for: kept, it would take n!/2
+    """The least length below each node of the level whose nodes hold two
+    leaves, computed for the nodes asked for: kept, it would take n!/2
     floats, about as much as all shallower levels together."""
 
-    def __init__(self, half: np.ndarray):
-        self.half = half
+    def __init__(self, ell: np.ndarray):
+        self.ell = ell
 
     def take(self, nodes: np.ndarray) -> np.ndarray:
-        pairs = self.half.reshape(-1, 2).take(nodes, axis=0)
+        pairs = self.ell.reshape(-1, 2).take(nodes, axis=0)
         return np.minimum(pairs[:, 0], pairs[:, 1])
 
 
@@ -229,17 +233,15 @@ class Alg1Workspace:
     node, shaped like its stops; ``grids[k]`` is the same memory shaped like
     its legs, one row of children per parent, and ``columns[k]`` the same
     again with one row per child offset, for adding the parents' distances a
-    child column at a time.  ``ell`` takes a closed run's lengths (an open
-    run's are ``prefix[-1]``), ``half`` the half lengths (a commit that
-    scores every order overwrites them).
-    ``minhalf[k].take(nodes)`` is the least half length below each of
-    ``nodes`` on level k: kept per node down to level n - 4, taken from pairs
-    of leaves on level n - 3, and ``half`` itself on the two deepest levels,
-    which hold one leaf per node.  Per level, ``reached[k]`` is ``prefix[k]``
-    flat, ``leaves[k]`` is ``half`` as one row of leaves per node, ``stops[k]``
-    is an int8 copy of the stops in node order (the tree lays them out by
-    leading request, so a flat view would be a copy too) and ``children[k]``
-    is ``arange(n - k)``, the offsets of a node's children on level k.
+    child column at a time.  ``ell`` holds the length of every order, the
+    one n!-long array besides the tree.  ``minell[k].take(nodes)`` is the
+    least length below each of ``nodes`` on level k: kept per node down to
+    level n - 4, taken from pairs of leaves on level n - 3, and ``ell``
+    itself on the two deepest levels, which hold one leaf per node.  Per
+    level, ``reached[k]`` is ``prefix[k]`` flat, ``stops[k]`` is an int8 copy
+    of the stops in node order (the tree lays them out by leading request,
+    so a flat view would be a copy too) and ``children[k]`` is
+    ``arange(n - k)``, the offsets of a node's children on level k.
     ``unreleased[R]`` marks the requests outside the released set R.  Up to
     ``FRONTIER_CACHE_N`` requests, ``frontiers`` keeps the whole frontier of
     every released set walked so far: it depends only on n and the set.
@@ -247,19 +249,17 @@ class Alg1Workspace:
 
     def __init__(self, n: int):
         self.levels = levels = lex_tree(n)
-        size = math.factorial(n)
-        self.ell, self.half = np.empty(size), np.empty(size)
+        self.ell = np.empty(math.factorial(n))
         self.prefix = [np.empty(stops.shape) for stops, _ in levels]
         self.grids = [None] + [p.reshape(legs.shape)
                                for p, (_, legs) in zip(self.prefix[1:], levels[1:])]
         self.columns = [None] + [p.reshape(-1, n - k).T for k, p in enumerate(self.prefix[1:], 1)]
-        self.minhalf = ([np.empty(stops.size) for stops, _ in levels[:-3]]
-                        + [_PairMinima(self.half), self.half, self.half][-n:])
+        self.minell = ([np.empty(stops.size) for stops, _ in levels[:-3]]
+                       + [_PairMinima(self.ell), self.ell, self.ell][-n:])
         # The deepest level's stops are never read: a node there has every
         # other stop above it, so the walk reaches it only on the frontier.
         self.stops = [np.ascontiguousarray(stops, np.int8).ravel() for stops, _ in levels[:-1]]
         self.reached = [p.ravel() for p in self.prefix]
-        self.leaves = [self.half.reshape(stops.size, -1) for stops, _ in levels]
         self.children = [np.arange(n - k) for k in range(n)]
         self.unreleased = (np.arange(1 << n)[:, None] >> np.arange(n) & 1) == 0
         self.frontiers: Dict[int, list] = {}
@@ -301,37 +301,48 @@ class Alg1General(Route):
     needed: a set is fully released only once its latest release is due, at
     most ``now + EPS``, so that release can never hold the start back.
 
+    Each node keeps the least length below it, not the least half length.
+    Halving is monotone, so half the least length is the least of the half
+    lengths, ``fl(min(ell) * 0.5) = min(fl(ell * 0.5))``, and ``x * 0.5``
+    rounds as ``x / 2`` does: the walk's threshold, its test of a node
+    against the distance into it and its pruning test halve the least
+    lengths they take, and so compare the floats of the half lengths.
+
     The threshold never rises: the released set only grows, and an order
     that qualifies keeps qualifying, since its first unreleased stop can only
     move later and its distances never fall (``fl(a + b) >= a``).  So each
     walk starts from the last threshold, ``best``.  The least half length
     below a node can only grow down the tree, so a node whose stop is
     released and whose least half length is above ``best`` (or above
-    ``TINY_HALF``, whichever is larger) holds no frontier node that can lower
-    the threshold, and from ``FRONTIER_CACHE_N + 1`` requests on the walk
-    does not expand it.  It prunes on ``>`` only: a node whose least half
-    length equals ``best`` can hold the order the commit must choose.
+    ``TINY_HALF``, whichever is larger, see below) holds no frontier node
+    that can lower the threshold, and from ``FRONTIER_CACHE_N + 1`` requests
+    on the walk does not expand it.  It prunes on ``>`` only: a node whose
+    least half length equals ``best`` can hold the order the commit must
+    choose.
 
     The commit chooses the lexicographically first order with the least
     objective (1 - beta) * length, beta = min(distance into its first
-    unreleased stop / length, 1/2).  Every objective is at least its half
-    length, and the threshold's own order scores the threshold T, so the
-    optimum is at most T and only frontier nodes with a least half length
-    at most T can hold it.  Below a frontier node every order shares the
-    distance into it, and the objective does not fall as the length grows,
-    in floats too; so the objective at twice a node's least half length, its
-    bound, is the least objective below it, and some order below scores it
-    exactly.  One pass down the levels keeps, on each, the first node with
-    the least bound among the children of the last level's node and the
-    frontier nodes there: another node with the same or a larger bound holds
-    no order that both scores the least and comes first, since the kept node
-    holds one before it or one scoring less.  The pass ends on the chosen
-    leaf.  Twice a half length is the length only from ``TINY_HALF`` on, so
-    when some half length is shorter (an order of length 0, say) every order
-    is scored instead, as it is up to ``FRONTIER_CACHE_N`` requests.  Every
-    order below a pruned node scores above T or ``TINY_HALF``, whichever is
-    larger, which bounds the optimum.  With all released, every objective is
-    the half length.
+    unreleased stop / length, 1/2), the distance being inf for an order with
+    every stop released: its objective is then (1 - 1/2) * length, its half
+    length bit for bit (``0.5 * 0`` is 0, and ``inf / 0`` is inf with no
+    warning).  Every objective is at least its half length.  From
+    ``TINY_HALF`` on a length's half is exact, so the threshold's own order
+    scores the threshold T; below it halving can round, and the optimum can
+    exceed T, but an order shorter than ``TINY_HALF`` scores at most its
+    length.  So the optimum is at most T or ``TINY_HALF``, whichever is
+    larger, and only nodes whose least half length is at most that can hold
+    it: the one floor that the walk's pruning and the commit share.  Up to
+    ``FRONTIER_CACHE_N`` requests the commit scores every order.  From one
+    more on it makes one pass down the levels.  Below a frontier node every
+    order shares the distance into it, and the objective does not fall as
+    the length grows, in floats too; so the objective at a node's least
+    length, its bound, is the least objective below it, and some order below
+    scores it exactly.  On each level the pass keeps the first node with the
+    least bound among the children of the last level's node and the frontier
+    nodes there: another node with the same or a larger bound holds no order
+    that both scores the least and comes first, since the kept node holds
+    one before it or one scoring less.  The pass ends on the chosen leaf.
+    With all released it starts above the root, with the distance inf.
 
     A distance shared by (n-k-1)! orders is summed once per tree node, by the
     same float additions as an order's own fold.  Every per-node and
@@ -381,30 +392,20 @@ class Alg1General(Route):
         for p in prefix[1:]:
             p += d0
         # Per order (a leaf of the tree): its length.
-        ell = prefix[-1].ravel()
+        ell = ws.ell.reshape(prefix[-1].shape)
         if ctx.variant == CLOSED:
-            _take(dret, levels[-1][0], ws.ell.reshape(prefix[-1].shape))
-            ell = np.add(ws.ell, ell, out=ws.ell)
-        self.ell = ell
-        np.divide(ell, 2, out=ws.half)
-        # Per node down to level n - 4: the least half length below it, from
-        # its children's (level n - 3 has none kept, so from its six leaves).
-        minhalf = ws.minhalf
+            _take(dret, levels[-1][0], ell)
+            ell += prefix[-1]
+        else:
+            np.copyto(ell, prefix[-1])
+        # Per node down to level n - 4: the least length below it, from its
+        # children's (level n - 3 has none kept, so from its six leaves).
+        minell = ws.minell
         for k in reversed(range(n - 3)):
-            kids = (minhalf[k + 1] if k < n - 4 else ws.half).reshape(minhalf[k].size, -1)
-            least = np.minimum(kids[:, 0], kids[:, 1], out=minhalf[k])
+            kids = (minell[k + 1] if k < n - 4 else ws.ell).reshape(minell[k].size, -1)
+            least = np.minimum(kids[:, 0], kids[:, 1], out=minell[k])
             for j in range(2, kids.shape[1]):
                 np.minimum(least, kids[:, j], out=least)
-        # A frontier node on level k has k released stops above it.  An
-        # order's distances grow along it, so once a node's least half length
-        # is at most the distance into it, some node on every deeper level has
-        # that too; above the first such level no frontier node can start.
-        # The deep levels keep no least half length: a leaf of theirs at most
-        # the distance into its node is the same test.
-        reached = ws.reached
-        self.first_level = next((k for k in range(n) if (
-            minhalf[k] <= reached[k] if k < n - 3 else ws.leaves[k] <= reached[k][:, None]
-        ).any()), n)
         self.released_bits, self.threshold = -1, math.inf
 
     def _waiting_step(self, obs: Observation) -> Optional[Action]:
@@ -430,9 +431,7 @@ class Alg1General(Route):
         The frontier nodes are in node order."""
         ws, n = self.ws, self.ctx.n
         if released == n:
-            return float(ws.minhalf[0].take(ws.children[0]).min()), []
-        if released < self.first_level:
-            return math.inf, []
+            return float(ws.minell[0].take(ws.children[0]).min()) * 0.5, []
         cached = ws.frontiers.get(released_bits)
         frontier = cached or []
         unreleased = ws.unreleased[released_bits]
@@ -441,17 +440,17 @@ class Alg1General(Route):
             if cached is None:
                 frontier.append(nodes.compress(out) if k < released else nodes)
             edge = frontier[k]
-            if k >= self.first_level:
-                least = ws.minhalf[k].take(edge)
-                best = float(least.min(where=least <= ws.reached[k].take(edge), initial=best))
+            least = ws.minell[k].take(edge)
+            least *= HALF
+            best = float(least.min(where=least <= ws.reached[k].take(edge), initial=best))
             if cached is not None or k == released:
                 continue
             # Expand the released nodes; when no frontier is kept, only those
-            # whose least half length is not above the threshold so far.  The
-            # children are laid out node by node, so the nodes stay in order.
+            # that can still hold the answer.  The children are laid out node
+            # by node, so the nodes stay in order.
             nodes = nodes.compress(~out)
             if n > FRONTIER_CACHE_N:
-                nodes = nodes.compress(ws.minhalf[k].take(nodes) <= max(best, TINY_HALF))
+                nodes = nodes.compress(self._can_win(k, nodes, best))
             kids = ws.children[k + 1]
             nodes = (nodes[:, None] * len(kids) + kids).ravel()
             if k + 1 < released:
@@ -460,71 +459,67 @@ class Alg1General(Route):
             ws.frontiers[released_bits] = frontier
         return best, frontier
 
+    def _can_win(self, k: int, nodes: np.ndarray, best: float) -> np.ndarray:
+        """A mask over ``nodes`` on level k: those whose least half length is
+        at most ``best`` or ``TINY_HALF``, whichever is larger.  With ``best``
+        at least the threshold, no other node holds an order that lowers the
+        threshold or scores the optimum."""
+        return self.ws.minell[k].take(nodes) * 0.5 <= max(best, TINY_HALF)
+
     def _commit(self, obs: Observation) -> None:
-        n, ws, ell = self.ctx.n, self.ws, self.ell
+        n, ws = self.ctx.n, self.ws
         with np.errstate(invalid="ignore"):  # 0 / 0 for a length of 0
-            if (n > FRONTIER_CACHE_N and self.frontier
-                    and ws.minhalf[0].take(ws.children[0]).min() >= TINY_HALF):
+            if n > FRONTIER_CACHE_N:
                 i1, value = self._first_least()
             else:
-                # Every order is scored.  With all released, its objective is
-                # its half length.  Otherwise the distance into each order's
-                # first unreleased stop goes where its half length was; an
-                # order below a node the walk pruned keeps its half length,
-                # and scores at least that, which is above the optimum.
-                objective = ws.half
-                if self.frontier:
-                    for leaves, reached, edge in zip(ws.leaves, ws.reached, self.frontier):
-                        leaves[edge] = reached.take(edge)[:, None]
-                    _objective(ws.half, ell, out=ws.half)
+                # Every order is scored, with the distance into its first
+                # unreleased stop written below each frontier node (inf with
+                # every stop released).
+                num = np.full(ws.ell.size, math.inf)
+                for reached, edge in zip(ws.reached, self.frontier):
+                    num.reshape(reached.size, -1)[edge] = reached.take(edge)[:, None]
+                objective = _objective(num, ws.ell, out=num)
                 i1 = int(objective.argmin())  # ties: lexicographically first order
                 value = objective[i1]
-        self.order = [int(stops.flat[i1 // (len(ell) // stops.size)]) + 1
+        self.order = [int(stops.flat[i1 // (ws.ell.size // stops.size)]) + 1
                       for stops, _ in ws.levels]
         self.chosen_t = obs.now
         self.chosen_objective = float(value)
-        del self.ws, self.ell, self.frontier
+        del self.ws, self.frontier
         ALG1_SPARES[n] = ws
 
     def _first_least(self) -> Tuple[int, float]:
-        """The first leaf with the least objective, and that objective, while
-        some request is unreleased: one pass down the levels, keeping on each
-        the first node with the least bound."""
-        n, ws, cutoff = self.ctx.n, self.ws, self.threshold
-        best = None  # (bound, node, num) on the current level
+        """The first leaf with the least objective, and that objective: one
+        pass down the levels, keeping on each the first node with the least
+        bound."""
+        n, ws = self.ctx.n, self.ws
+        # (bound, node, num) kept on the level above.  With all released the
+        # pass starts above the root, at node 0, the parent of all of level 0.
+        best = None if self.frontier else (math.inf, 0, math.inf)
         for k in range(n):
+            if best is not None and k < n - 1:  # node i on the two deepest levels is leaf i
+                _, node, num = best
+                kids = node * len(ws.children[k]) + ws.children[k]
+                bounds = _objective(num, ws.minell[k].take(kids))
+                i = int(bounds.argmin())  # the first least: children are in order
+                best = float(bounds[i]), int(kids[i]), num
             if k < len(self.frontier) and self.frontier[k].size:
                 edge = self.frontier[k]
-                # A bound is never below the node's least half length.
-                edge = edge.compress(ws.minhalf[k].take(edge) <= cutoff)
+                edge = edge.compress(self._can_win(k, edge, self.threshold))
                 if edge.size:
                     num = ws.reached[k].take(edge)
-                    bounds = self._bound(k, edge, num)
+                    bounds = _objective(num, ws.minell[k].take(edge))
                     i = int(bounds.argmin())  # the first least: the frontier is in order
                     first = float(bounds[i]), int(edge[i]), float(num[i])
                     best = first if best is None else min(best, first)
-            if best is None or k >= n - 2:  # node i on the two deepest levels is leaf i
-                continue
-            _, node, num = best
-            kids = node * len(ws.children[k + 1]) + ws.children[k + 1]
-            bounds = self._bound(k + 1, kids, num)
-            i = int(bounds.argmin())  # the first least: children are in order
-            best = float(bounds[i]), int(kids[i]), num
         return best[1], best[0]
-
-    def _bound(self, k: int, nodes: np.ndarray, num) -> np.ndarray:
-        """The objective of each node's shortest order, the distance into its
-        first unreleased stop being ``num``."""
-        least = self.ws.minhalf[k].take(nodes)
-        least *= 2
-        return _objective(num, least)
 
 
 def _objective(num, ell: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """alg1's objective (1 - beta) * ell per order, with beta = num / ell
-    capped at 1/2.  num <= ell, so num / ell is 0 / 0 only for an order of
-    length 0; fmin passes over that nan and takes 1/2, as for any ratio >=
-    1/2."""
+    capped at 1/2; num is at most ell, or inf.  num / ell is 0 / 0 only for
+    an order of length 0 with a stop unreleased; fmin passes over that nan
+    and takes 1/2, as for any ratio >= 1/2."""
     ratio = np.divide(num, ell, out=out)
     np.fmin(ratio, 0.5, out=ratio)
     np.subtract(1.0, ratio, out=ratio)
@@ -551,8 +546,6 @@ class Alg2Ring(Route):
 
     def __init__(self):
         self.delegate: Optional[Alg1General] = None
-        self.window: Optional[Tuple[bool, float]] = None
-        self.branch: Optional[int] = None
 
     def begin(self, ctx: PolicyContext) -> None:
         self.ctx = ctx
@@ -566,11 +559,9 @@ class Alg2Ring(Route):
             self.delegate.begin(ctx)
             self.steps = [("_delegate_step",)]
             return
-        self.branch = 2
         self.steps = [("_window_step",)]
         for i in range(n - 1):
             if pos_sorted[i + 1] - pos_sorted[i] >= self.c / 3 - EPS:
-                self.branch = 1
                 self._plan_branch1(pos_sorted[i], pos_sorted[i + 1])
                 break
 
@@ -658,7 +649,6 @@ class Alg2Ring(Route):
         w = self._find_window(obs)
         if w is None:
             return WaitForRelease(None)
-        self.window = w
         clockwise, target = w
         self.steps[1:1] = [("_arc_step", target, clockwise), ("_sweep_step", clockwise),
                            ("_mop_step", clockwise), ("_sweep_step", not clockwise)]

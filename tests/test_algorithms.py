@@ -103,6 +103,28 @@ def test_alg1_scale_invariance(example1):
             assert out.completion == pytest.approx(base.completion * c, rel=1e-12)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: alg1's choice depends on the unit of length")
+def test_alg1_closed_ring_scale_invariance():
+    """A closed ring, its circumference, points and releases scaled by 3.
+    Unscaled, alg1 commits to 2 7 6 5 4 3 1 and completes at 1.75628; scaled,
+    it commits to 5 7 6 4 3 2 1 and completes at 1.62522 times 3, with the
+    threshold 0.62522 (times 3) either way, because rounding decides a test
+    that an out-and-back order meets exactly in real arithmetic.  Scaled by 4
+    instead, a power of two, the run matches."""
+    base = generate_random(GenParams(n=7, seed=3, release_horizon=1.0), "ring", variant=CLOSED)
+    lam = 3.0
+    scaled = Instance(
+        space=Ring(base.space.circumference * lam),
+        variant=CLOSED,
+        requests=tuple(Request(r.id, r.point * lam, r.release * lam) for r in base.requests),
+    )
+    base_pol, pol = Alg1General(), Alg1General()
+    base_out, out = simulate(base, base_pol), simulate(scaled, pol)
+    assert pol.order == base_pol.order
+    assert out.completion == pytest.approx(base_out.completion * lam, rel=1e-12)
+
+
 @pytest.mark.parametrize("kind,sp,variant", [
     ("semiline", {}, OPEN),
     ("line", {}, CLOSED),
@@ -399,10 +421,40 @@ def test_alg1_commit_with_one_request_held_back_stays_small():
     assert peaks and peaks[0] < 64 * 2**10
 
 
+def test_alg1_zero_length_commit_stays_small():
+    """Nine requests at the origin of a closed general space, request 9
+    released at 5 and the rest at 0: every order has length 0 and ties at
+    the threshold 0, so the walk keeps the whole frontier of the eight
+    released requests (109,601 nodes) and the commit's pass sees every node.
+    alg1 still chooses 1 2 ... 9 at t = 0 and completes at 5, and a warm
+    commit peaks under 4 MiB: about 1.5 MiB, where a pass that kept every
+    node with the least bound took 15 MiB."""
+    inst = make_instance(General.from_rows([[0.0]]), CLOSED, [(0, 0.0)] * 8 + [(0, 5.0)])
+    simulate(inst, Alg1General())  # leaves the spare workspace for n = 9
+    peaks = []
+
+    class Measured(Alg1General):
+        def _commit(self, obs):
+            assert len(obs.released) == 8
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            super()._commit(obs)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+
+    pol = Measured()
+    tracemalloc.start()
+    try:
+        out = simulate(inst, pol)
+    finally:
+        tracemalloc.stop()
+    assert (pol.chosen_t, pol.order, out.completion) == (0.0, list(range(1, 10)), 5.0)
+    assert peaks and peaks[0] < 4 * 2**20
+
+
 def _alg1_arrays(pol):
     ws = pol.ws
-    kept = ws.minhalf[:-3]  # the deeper levels read ``half``
-    return [a.copy() for a in (*ws.prefix, ws.ell, ws.half, *kept)]
+    kept = ws.minell[:-3]  # the deeper levels read ``ell``
+    return [a.copy() for a in (*ws.prefix, ws.ell, *kept)]
 
 
 def test_alg1_workspaces_are_exclusive():
@@ -467,7 +519,7 @@ def test_alg2_line_like_past_alg1_cap_is_refused_before_any_step():
     pol.decide = lambda obs: pytest.fail("alg2-ring took a step")
     with pytest.raises(PairingError, match="policy 'alg1' handles at most 9 requests, got 10"):
         simulate(inst, pol)
-    assert pol.delegate is not None and not hasattr(pol.delegate, "first_level")
+    assert pol.delegate is not None and not hasattr(pol.delegate, "ws")
 
 
 def test_alg2_big_gap_far_lower_endpoint():

@@ -124,3 +124,44 @@ def test_method_read_only_by_tests_is_caught():
     test = "Route().left_over()\n"
     assert unread_methods(source, [source]) == ["Route.left_over"]
     assert unread_methods(source, [source, test]) == []
+
+
+def stored_attributes(source: str) -> list:
+    """``Class.attribute`` for each attribute that a module-level class in
+    ``source`` stores on ``self``, in any of its methods."""
+    return sorted({f"{cls.name}.{node.attr}" for cls in ast.parse(source).body
+                   if isinstance(cls, ast.ClassDef) for node in ast.walk(cls)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                   and isinstance(node.value, ast.Name) and node.value.id == "self"})
+
+
+def loaded_attributes(source: str) -> set:
+    """Every attribute ``source`` reads, and every whole string constant
+    (``getattr(obj, "name")``).  Stores, augmented ones included, and ``del``
+    do not count."""
+    return {node.attr if isinstance(node, ast.Attribute) else node.value
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def unread_attributes(source: str, readers) -> list:
+    """The attributes of ``stored_attributes(source)`` whose name no source
+    in ``readers`` reads.  Names are matched alone, not by class."""
+    read = set().union(*(loaded_attributes(r) for r in readers))
+    return [name for name in stored_attributes(source) if name.partition(".")[2] not in read]
+
+
+def test_every_stored_attribute_is_read():
+    readers = [p.read_text(encoding="utf-8") for p in READERS]
+    unread = {p.name: unread_attributes(p.read_text(encoding="utf-8"), readers) for p in MODULES}
+    assert {name: attrs for name, attrs in unread.items() if attrs} == {}
+
+
+def test_unread_attribute_is_caught():
+    source = "class Ring:\n    def __init__(self):\n        self.kept, self.window = 1, 2\n" \
+             "        self.count = 0\n        self.gone = 3\n\n    def step(self):\n" \
+             "        self.count += 1\n        del self.gone\n        return self.kept\n"
+    assert unread_attributes(source, [source]) == ["Ring.count", "Ring.gone", "Ring.window"]
+    test = "assert Ring().window == 2\n"
+    assert unread_attributes(source, [source, test]) == ["Ring.count", "Ring.gone"]
