@@ -31,7 +31,6 @@ from .engine import (
     Policy,
     SimulationError,
     Trajectory,
-    WaitForRelease,
     WaitUntil,
     check_pairing,
     simulate,

@@ -23,7 +23,6 @@ from .engine import (
     Policy,
     PolicyContext,
     SimulationError,
-    WaitForRelease,
     WaitUntil,
     check_pairing,
 )
@@ -61,8 +60,9 @@ def next_stop(points: Dict[int, Point], obs: Observation,
     The stop is the unreleased, unserved request with the smallest
     ``offset(point) >= -EPS``, ties to the lowest id; ``offset`` is the
     distance left to travel along the sweep to a point, or None for a point
-    off the sweep.  At the stop the server waits for its release, otherwise it
-    takes ``move(point)``."""
+    off the sweep.  At the stop the server answers ``WaitUntil()``, which the
+    stop's release, like any other event, cuts short; otherwise it takes
+    ``move(point)``."""
     best = None
     for rid, p in points.items():
         if rid in obs.served or rid in obs.released:
@@ -72,7 +72,7 @@ def next_stop(points: Dict[int, Point], obs: Observation,
             best = (off, rid)
     if best is None:
         return None
-    return WaitForRelease(best[1]) if best[0] <= EPS else move(points[best[1]])
+    return WaitUntil() if best[0] <= EPS else move(points[best[1]])
 
 
 class Route(Policy):
@@ -106,7 +106,7 @@ class Route(Policy):
         return None
 
     def all_released(self, obs: Observation) -> Optional[Action]:
-        return WaitForRelease(None) if len(obs.released) < self.ctx.n else None
+        return WaitUntil() if len(obs.released) < self.ctx.n else None
 
     def follow(self, obs: Observation) -> Action:
         """Serve the stops of ``self.order`` in turn: go to the first unserved
@@ -116,7 +116,7 @@ class Route(Policy):
             if rid not in obs.served:
                 target = self.points[rid]
                 if space.unchecked_distance(obs.position, target) <= EPS:
-                    return WaitForRelease(rid)
+                    return WaitUntil()
                 return MoveTo(target)
         return MoveTo(space.origin())
 
@@ -296,8 +296,8 @@ class Alg1General(Route):
     threshold is the least, over the frontier, of the least half length below
     the node where that is at most the distance into it (inf if none; the
     least half length overall once all is released).  A walk from the root
-    finds the frontier once per released set; the policy waits for a release
-    while the threshold is inf, and otherwise until it.  No release term is
+    finds the frontier once per released set; the policy waits until the
+    threshold, so an infinite one waits for the next release.  No release term is
     needed: a set is fully released only once its latest release is due, at
     most ``now + EPS``, so that release can never hold the start back.
 
@@ -416,8 +416,6 @@ class Alg1General(Route):
             self.released_bits = released_bits
             self.threshold, self.frontier = self._walk(
                 released_bits, len(obs.released), self.threshold)
-        if self.threshold == math.inf:
-            return WaitForRelease(None)
         if self.threshold > obs.now + EPS:
             return WaitUntil(self.threshold)
         self._commit(obs)
@@ -648,7 +646,7 @@ class Alg2Ring(Route):
         mop up on the way back."""
         w = self._find_window(obs)
         if w is None:
-            return WaitForRelease(None)
+            return WaitUntil()
         clockwise, target = w
         self.steps[1:1] = [("_arc_step", target, clockwise), ("_sweep_step", clockwise),
                            ("_mop_step", clockwise), ("_sweep_step", not clockwise)]
@@ -777,7 +775,7 @@ class _SemilineRoute(Route):
             return MoveTo(max(ahead) if rightward else min(ahead))
         if self.ctx.variant == CLOSED:
             return MoveTo(self.ctx.space.origin())
-        return WaitForRelease(None)
+        return WaitUntil()
 
 
 class Alg4Semiline(_SemilineRoute):
@@ -810,11 +808,9 @@ class Alg4Semiline(_SemilineRoute):
             return MoveTo(target)
         if obs.position < x - EPS:
             return MoveTo(x)
-        rid = min(r for r, p in self.points.items()
-                  if r not in obs.released and abs(p - x) <= EPS)
         if x < limit / 4 - EPS:
             return WaitUntil(limit / 2 + x)
-        return WaitForRelease(rid)
+        return WaitUntil()
 
     def _commit(self, obs: Observation) -> Optional[Action]:
         """Hold the midpoint, then finish leftward-first once the left quarter
@@ -832,7 +828,7 @@ class Alg4Semiline(_SemilineRoute):
         ):
             self.steps[1:1] = [("_out",), ("_sweep", False)]
         else:
-            return WaitForRelease(None)
+            return WaitUntil()
         return None
 
     def _back_left(self, obs: Observation) -> Optional[Action]:
@@ -900,7 +896,7 @@ class Greedy(Policy):
         if not candidates:
             if dist(obs.position, o) > EPS:
                 return MoveTo(o)
-            return WaitForRelease(None)
+            return WaitUntil()
         rid = min(candidates, key=lambda r: (dist(obs.position, obs.released[r].point), r))
         return MoveTo(obs.released[rid].point)
 

@@ -3,6 +3,8 @@
 The engine owns time.  After *every* event (a release, a service, an adversary
 inspection, or the completion of the current action) the policy is asked for a
 fresh action from its current state, so actions are interruptible by design.
+A policy answers ``MoveTo(p)`` or ``WaitUntil(t)``; ``t`` defaults to inf, and
+any event wakes the policy earlier, so a wait names only its latest wake time.
 A request is served automatically and instantaneously whenever the server's
 position coincides with a released, unserved request (within ``EPS``); passing
 over a released request mid-move therefore serves it at the exact pass time.
@@ -15,6 +17,7 @@ a closed policy brings the server home itself, by whatever way it chooses.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
@@ -41,15 +44,10 @@ class MoveTo:
 
 @dataclass(frozen=True)
 class WaitUntil:
-    until: float
+    until: float = math.inf  # inf: until the next event
 
 
-@dataclass(frozen=True)
-class WaitForRelease:
-    request_id: Optional[int] = None  # None: wake at the next release, whoever it is
-
-
-Action = Union[MoveTo, WaitUntil, WaitForRelease]
+Action = Union[MoveTo, WaitUntil]
 
 
 # Observations and contracts ---------------------------------------------------
@@ -253,7 +251,7 @@ def simulate(scenario: Scenario, policy: Policy, step_budget: int = 1_000_000) -
                 f"step budget {step_budget} exceeded (policy {policy.name!r}); tail: {tail}"
             )
         auto_serve()
-        if adversary is not None and adv_wake is not None and adv_wake <= now + EPS:
+        if adv_wake is not None and adv_wake <= now + EPS:
             ingest(adversary.observe(now, pos, frozenset(served)))
             adv_wake = adversary.next_wake(now)
             auto_serve()
@@ -285,36 +283,23 @@ def simulate(scenario: Scenario, policy: Policy, step_budget: int = 1_000_000) -
         elif isinstance(action, WaitUntil):
             if action.until < now - EPS:
                 raise SimulationError(f"wait-until into the past: {action.until} < {now}")
-            next_times.append(max(action.until, now))
-        elif isinstance(action, WaitForRelease):
-            rid = action.request_id
-            if rid is not None:
-                if rid not in points:
-                    raise SimulationError(f"wait-for-release of unknown id {rid}")
-                if rid in released:
-                    raise SimulationError(f"wait-for-release of already released id {rid}")
+            next_times.append(action.until)
         else:
             raise SimulationError(f"policy returned invalid action {action!r}")
 
         if schedule:
             next_times.append(schedule[0][0])
-        if adversary is not None and adv_wake is not None:
+        if adv_wake is not None:
             next_times.append(adv_wake)
-        if not next_times:
+        t_next = max(min(next_times), now)
+        if t_next == math.inf:
             raise SimulationError(
                 f"simulation stalled at t={now}: nothing scheduled and policy is waiting"
             )
-        t_next = min(next_times)
-        t_next = max(t_next, now)
         if plan is not None:
-            step = min(t_next - now, plan.total)
-            new_pos = plan.point_at(step)
-            now = t_next
-            pos = new_pos
-            waypoints.append(Waypoint(now, pos, "move"))
-        else:
-            now = t_next
-            waypoints.append(Waypoint(now, pos, "wait"))
+            pos = plan.point_at(min(t_next - now, plan.total))
+        now = t_next
+        waypoints.append(Waypoint(now, pos, "wait" if plan is None else "move"))
 
     realized = tuple(Request(rid, points[rid], releases[rid]) for rid in sorted(releases))
     if adversary is not None and len(realized) != n_total:

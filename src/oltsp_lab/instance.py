@@ -266,12 +266,6 @@ def decode(text: str) -> Instance:
 # Seeded generators ----------------------------------------------------------
 
 
-def check_horizon(horizon: float) -> None:
-    """Raise ValueError unless ``horizon`` is a finite release horizon >= 0."""
-    if not 0 <= horizon < math.inf:
-        raise ValueError(f"release horizon must be finite and >= 0, got {horizon}")
-
-
 def generate_random(params: GenParams, kind: str, variant: str = CLOSED,
                     knowledge: str = LOCATIONS_KNOWN) -> Instance:
     """Deterministic instance for (seed, params); positions uniform in the domain.
@@ -282,7 +276,9 @@ def generate_random(params: GenParams, kind: str, variant: str = CLOSED,
         raise ValueError("n must be >= 0")
     if params.n > MAX_REQUESTS:
         raise ValueError(f"n={params.n} exceeds the n<={MAX_REQUESTS} generation cap")
-    check_horizon(params.release_horizon)
+    horizon = params.release_horizon
+    if not 0 <= horizon < math.inf:
+        raise ValueError(f"release horizon must be finite and >= 0, got {horizon}")
     rng = random.Random(params.seed)
     sp = params.space_params
     n = params.n
@@ -318,7 +314,7 @@ def generate_random(params: GenParams, kind: str, variant: str = CLOSED,
     else:
         raise ValueError(f"unsupported kind {kind!r}")
 
-    releases = [rng.uniform(0.0, params.release_horizon) for _ in range(n)]
+    releases = [rng.uniform(0.0, horizon) for _ in range(n)]
     requests = tuple(
         Request(id=i + 1, point=pts[i], release=releases[i]) for i in range(n)
     )

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 from math import comb, factorial
 
 import numpy as np
@@ -93,7 +94,9 @@ def _fold(order, d0, dret, dmat, rel, closed: bool):
 
 
 def opt_makespan(inst: Instance) -> OptResult:
-    """Exact optimum via subset DP keyed on (visited mask, last request).
+    """Exact optimum via subset DP keyed on (visited mask, last request).  At
+    n <= 3 it folds the at most six orders instead and keeps the first least
+    one in lexicographic order, the brute force's answer.
 
     Not thread-safe: every call from n = 4 on writes its chunks into the same
     module-level scratch, so two threads must not run it at once."""
@@ -105,7 +108,10 @@ def opt_makespan(inst: Instance) -> OptResult:
     d0, dret, dmat, rel = _geometry(inst)
     closed = inst.variant == CLOSED
     if n <= 3:
-        return _best_by_enumeration(d0, dret, dmat, rel, closed)
+        args = d0, dret, dmat, rel, closed
+        order = min(permutations(range(n)), key=lambda o: _fold(o, *args)[0])
+        makespan, times = _fold(order, *args)
+        return OptResult(makespan, tuple(i + 1 for i in order), tuple(times))
 
     plan = _layer_plan(n)
     block = np.empty(n << (n - 1))  # every layer's table: sum_k k C(n, k) = n 2^(n-1)
@@ -140,8 +146,9 @@ def opt_makespan(inst: Instance) -> OptResult:
     return OptResult(makespan, tuple(i + 1 for i in order), tuple(times))
 
 
-def _best_by_enumeration(d0, dret, dmat, rel, closed):
-    """The lexicographically first order with the least fold.
+def opt_bruteforce(inst: Instance) -> OptResult:
+    """Same contract as :func:`opt_makespan` via explicit n! enumeration: the
+    lexicographically first order with the least fold.
 
     The leaves of :func:`lex_tree` are folded one level at a time: a node's
     time is its parent's plus the leg into its stop, clamped to that stop's
@@ -150,7 +157,13 @@ def _best_by_enumeration(d0, dret, dmat, rel, closed):
     folded together, at most ``FOLD_ORDERS`` leaves at a time; ``argmin`` and
     a strict ``<`` across blocks keep the first minimum.
     """
-    n = len(rel)
+    n = inst.n
+    if n == 0:
+        return OptResult(0.0, (), ())
+    if n > BRUTE_CAP:
+        raise ValueError(f"brute-force cap exceeded: n={n} > {BRUTE_CAP}")
+    d0, dret, dmat, rel = _geometry(inst)
+    closed = inst.variant == CLOSED
     levels = lex_tree(n) if n < BRUTE_CAP else _grow_tree(lex_tree(n - 1))
     dist = dmat.ravel()
     row_leaves = factorial(n - 1)
@@ -170,22 +183,11 @@ def _best_by_enumeration(d0, dret, dmat, rel, closed):
             t += dret.take(stops)
         i = int(t.argmin())
         if best is None or t.flat[i] < best[0]:
-            best = (t.flat[i], a * row_leaves + i)
-    _, leaf = best
+            best = (float(t.flat[i]), a * row_leaves + i)
+    makespan, leaf = best
     perm = [int(stops.flat[leaf // (factorial(n) // stops.size)]) for stops, _ in levels]
-    t, times = _fold(perm, d0, dret, dmat, rel, closed)
-    return OptResult(t, tuple(i + 1 for i in perm), tuple(times))
-
-
-def opt_bruteforce(inst: Instance) -> OptResult:
-    """Same contract as :func:`opt_makespan` via explicit n! enumeration."""
-    n = inst.n
-    if n == 0:
-        return OptResult(0.0, (), ())
-    if n > BRUTE_CAP:
-        raise ValueError(f"brute-force cap exceeded: n={n} > {BRUTE_CAP}")
-    d0, dret, dmat, rel = _geometry(inst)
-    return _best_by_enumeration(d0, dret, dmat, rel, inst.variant == CLOSED)
+    _, times = _fold(perm, d0, dret, dmat, rel, closed)
+    return OptResult(makespan, tuple(i + 1 for i in perm), tuple(times))
 
 
 @lru_cache(maxsize=None)

@@ -144,62 +144,6 @@ def test_forced_ratio_is_quotient():
     assert r.forced_ratio == pytest.approx(r.forced_completion / r.opt_completion)
 
 
-def test_engine_rejects_backdated_emission():
-    from oltsp_lab.engine import Adversary, Emission
-    from oltsp_lab.instance import COUNT_KNOWN, OPEN
-    from oltsp_lab.metric import SemiLine
-
-    class Backdater(Adversary):
-        name = "backdater"
-
-        def __init__(self):
-            self.space = SemiLine()
-            self.variant = OPEN
-            self.n = 1
-            self.knowledge = COUNT_KNOWN
-            self.fired = False
-
-        def next_wake(self, now):
-            return None if self.fired else 1.0
-
-        def observe(self, now, position, served):
-            if self.fired or now < 1.0:
-                return []
-            self.fired = True
-            return [Emission(0.25, point=0.5)]
-
-    with pytest.raises(SimulationError, match="causality"):
-        simulate(Backdater(), make_policy("greedy"))
-
-
-def test_engine_rejects_over_budget_emission():
-    from oltsp_lab.engine import Adversary, Emission
-    from oltsp_lab.instance import COUNT_KNOWN, OPEN
-    from oltsp_lab.metric import SemiLine
-
-    class Overfiller(Adversary):
-        name = "overfiller"
-
-        def __init__(self):
-            self.space = SemiLine()
-            self.variant = OPEN
-            self.n = 1
-            self.knowledge = COUNT_KNOWN
-            self.fired = False
-
-        def next_wake(self, now):
-            return None if self.fired else 0.5
-
-        def observe(self, now, position, served):
-            if self.fired or now < 0.5:
-                return []
-            self.fired = True
-            return [Emission(0.5, point=0.1), Emission(0.5, point=0.2)]
-
-    with pytest.raises(SimulationError, match="more requests"):
-        simulate(Overfiller(), make_policy("greedy"))
-
-
 def test_materialized_instances_are_valid_everywhere():
     pairs = [
         ("ring-open", "greedy", None),

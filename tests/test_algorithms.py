@@ -35,7 +35,7 @@ from oltsp_lab.algorithms import (
     make_policy,
     next_stop,
 )
-from oltsp_lab.engine import MoveTo, PairingError, SimulationError, WaitForRelease, WaitUntil
+from oltsp_lab.engine import MoveTo, PairingError, SimulationError, WaitUntil
 from oltsp_lab.metric import EPS, General, Ring, SemiLine, Star, distance_table
 from oltsp_lab.oracle import lex_tree
 
@@ -190,7 +190,7 @@ class PerOrderAlg1(Alg1General):
         self.known = released_bits
         ok = (self.needed_mask & ~released_bits) == 0
         if not ok.any():
-            return WaitForRelease(None)
+            return WaitUntil()
         best = float(np.maximum(self.half, self.tau)[ok].min())
         if best > obs.now + EPS:
             return WaitUntil(best)
@@ -713,7 +713,7 @@ class LiveMopAlg3(Alg3Star):
         if left:
             ray = min(r for r, _ in left)
             return MoveTo((ray, max(d for r, d in left if r == ray)))
-        return WaitForRelease(None)
+        return WaitUntil()
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,8 +1,11 @@
+import re
+
 import pytest
 
 from conftest import make_instance
 from oltsp_lab import (
     CLOSED,
+    COUNT_KNOWN,
     OPEN,
     GenParams,
     Instance,
@@ -11,14 +14,13 @@ from oltsp_lab import (
     Request,
     SimulationError,
     Trajectory,
-    WaitForRelease,
     WaitUntil,
     generate_random,
     simulate,
     verify_outcome,
 )
 from oltsp_lab.algorithms import Alg1General, Greedy, make_policy
-from oltsp_lab.engine import Adversary, Policy, Waypoint
+from oltsp_lab.engine import Adversary, Emission, Policy, Waypoint
 from oltsp_lab.cli import run_cli
 from oltsp_lab.metric import EPS, SPACE_KINDS, Line, MetricError, SemiLine
 
@@ -126,6 +128,68 @@ def test_invalid_move_target_rejected():
         simulate(inst, _Escapist())
 
 
+class _Answer(Policy):
+    """Answers ``act(obs)`` at every decision."""
+
+    name = "answer"
+
+    def __init__(self, act):
+        self.act = act
+
+    def decide(self, obs):
+        return self.act(obs)
+
+
+class _Emitter(Adversary):
+    """A one-request semi-line adversary that announces ``points`` and emits
+    ``emissions`` once, at time 0."""
+
+    name = "emitter"
+    space, variant, n, knowledge = SemiLine(), OPEN, 1, COUNT_KNOWN
+
+    def __init__(self, points, *emissions):
+        self.points, self.emissions = points, list(emissions)
+
+    def announced(self):
+        return self.points
+
+    def next_wake(self, now):
+        return 0.0 if self.emissions else None
+
+    def observe(self, now, position, served):
+        emitted, self.emissions = self.emissions, []
+        return emitted
+
+
+REFUSALS = {  # name: (answer, or None for greedy; emitter arguments, or None; message)
+    "zero-length-move": (lambda obs: MoveTo(obs.position), None,
+                         "'answer' issued a zero-length move at t=0.0"),
+    "wait-into-the-past": (lambda obs: WaitUntil(-1.0), None,
+                           "wait-until into the past: -1.0 < 0.0"),
+    "non-action": (lambda obs: None, None, "policy returned invalid action None"),
+    "bad-emission-id": (None, ({}, Emission(0.0, request_id=1)),
+                        "bad adversary emission for id 1"),
+    "emission-outside-space": (None, ({}, Emission(0.0, point=-1.0)),
+                               "adversary point -1.0 outside space"),
+    "backdated-emission": (None, ({}, Emission(-0.5, point=0.5)),
+                           "adversary causality violation: release -0.5 emitted at 0.0"),
+    "over-budget-emission": (None, ({}, Emission(0.0, point=0.1), Emission(0.0, point=0.2)),
+                             "adversary emitted more requests than announced"),
+    # A run ends once n requests are served, so this check can only catch an
+    # adversary that released more than n.
+    "over-defined-adversary": (
+        None, ({1: 0.5, 2: 0.7}, Emission(0.0, request_id=1), Emission(0.0, request_id=2)),
+        "adversary defined 2 of 1 announced requests"),
+}
+
+
+@pytest.mark.parametrize("act,emitter,message", REFUSALS.values(), ids=REFUSALS)
+def test_engine_refuses(act, emitter, message):
+    scenario = _Emitter(*emitter) if emitter else make_instance(SemiLine(), OPEN, [(1.0, 0.0)])
+    with pytest.raises(SimulationError, match=re.escape(message)):
+        simulate(scenario, Greedy() if act is None else _Answer(act))
+
+
 class _BeginWatcher(Policy):
     """Records whether the engine called ``begin``."""
 
@@ -136,7 +200,7 @@ class _BeginWatcher(Policy):
         self.begun = True
 
     def decide(self, obs):
-        return WaitForRelease(None)
+        return WaitUntil()
 
 
 class _OffSpaceAnnouncer(Adversary):
@@ -176,7 +240,7 @@ class _Loiterer(Policy):
     name = "loiterer"
 
     def decide(self, obs):
-        return MoveTo(1.0) if obs.position < 1.0 - EPS else WaitForRelease(None)
+        return MoveTo(1.0) if obs.position < 1.0 - EPS else WaitUntil()
 
 
 @pytest.mark.parametrize("variant,pts_rel", [

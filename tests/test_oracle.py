@@ -190,8 +190,27 @@ def _scalar_enumeration(inst):
 def test_bruteforce_equals_scalar_enumeration(inst):
     ref = _scalar_enumeration(inst)
     assert opt_bruteforce(inst) == ref  # makespan, order and times, exactly
-    if inst.n <= 3:  # opt_makespan hands these to the same enumeration
+    if inst.n <= 3:  # opt_makespan takes the first least fold too
         assert opt_makespan(inst) == ref
+
+
+def test_dp_answers_without_the_brute_force(monkeypatch):
+    """opt_makespan reaches neither the order tree nor the brute force at any
+    n, the small n included."""
+    cases = [
+        generate_random(GenParams(n=n, seed=9100 + n, release_horizon=1.0, space_params=sp),
+                        kind, variant=variant)
+        for n in range(7) for kind, sp in KINDS for variant in (OPEN, CLOSED)
+    ]
+    brute = [opt_bruteforce(inst) for inst in cases]
+
+    def refuse(*_):
+        raise AssertionError("opt_makespan reached the brute force")
+
+    monkeypatch.setattr(oracle, "lex_tree", refuse)
+    monkeypatch.setattr(oracle, "opt_bruteforce", refuse)
+    for inst, ref in zip(cases, brute):
+        assert opt_makespan(inst).makespan == ref.makespan
 
 
 def _order_table(n):
