@@ -1,15 +1,17 @@
 """Adaptive release controllers that force worst-case ratios against policies.
 
 Each adversary announces a space, a variant, a request budget ``n`` and the
-knowledge model the paired policy may use, then watches the run (at wake times
-it chooses, and after every service) and emits releases.  Emissions are causal:
-a release never predates the moment it is decided.
+knowledge model the paired policy may use, then watches the run (after every
+service, and at its ``wake`` time) and emits releases.  Emissions are causal:
+a release never predates the moment it is decided.  The four fixed-time
+constructions are data for one :class:`TableAdversary`; the two count
+constructions that loop over epsilon are classes of their own.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .engine import (
     Adversary,
@@ -30,7 +32,7 @@ from .instance import (
     Request,
     position_key,
 )
-from .metric import EPS, Point, Ring, SemiLine, Star
+from .metric import EPS, MetricSpace, Point, Ring, SemiLine, Star
 from .oracle import opt_makespan
 
 
@@ -71,42 +73,89 @@ def materialize(scenario: Scenario, out: Outcome) -> Instance:
     )
 
 
-# Open ring: two fixed locations, releases chosen by the side the server took.
+class TableAdversary(Adversary):
+    """A fixed-time construction given as a decision tree over the server's
+    position.  A node is ``(wake, test, branches)``: at time ``wake`` the
+    adversary takes ``branches[test(position)]``, a pair ``(emissions, next
+    node or None)``, and emits its emissions."""
 
+    def __init__(self, name: str, space: MetricSpace, variant: str, knowledge: str,
+                 n: int, points: Optional[Dict[int, Point]], tree: tuple):
+        self.name, self.space, self.variant = name, space, variant
+        self.knowledge, self.n, self.points = knowledge, n, points
+        self.node: Optional[tuple] = tree
+        self.wake = tree[0]
 
-class RingOpenAdversary(Adversary):
-    name = "ring-open"
-
-    def __init__(self):
-        self.space = Ring(1.0)
-        self.variant = OPEN
-        self.n = 2
-        self.knowledge = LOCATIONS_KNOWN
-        self.fired = False
-        self.pos_b = 1.0 / 3.0  # id 1, clockwise
-        self.pos_a = 2.0 / 3.0  # id 2
-
-    def announced(self) -> Dict[int, Point]:
-        return {1: self.pos_b, 2: self.pos_a}
-
-    def next_wake(self, now: float) -> Optional[float]:
-        return None if self.fired else 1.0 / 3.0
+    def announced(self) -> Optional[Dict[int, Point]]:
+        return self.points
 
     def observe(self, now, position, served) -> List[Emission]:
-        if self.fired or now < 1.0 / 3.0 - EPS:
+        if now < self.wake - EPS:
             return []
-        self.fired = True
-        s = self.space.norm(position)
-        dist = self.space.unchecked_distance
-        a_side = dist(s, self.pos_a) <= dist(s, self.pos_b) + EPS
-        if a_side:
-            return [Emission(1.0 / 3.0, request_id=1), Emission(2.0 / 3.0, request_id=2)]
-        return [Emission(1.0 / 3.0, request_id=2), Emission(2.0 / 3.0, request_id=1)]
+        _, test, branches = self.node
+        emissions, self.node = branches[test(position)]
+        self.wake = math.inf if self.node is None else self.node[0]
+        return list(emissions)
+
+
+def _release(times: Dict[int, float]) -> Tuple[Emission, ...]:
+    """Releases of announced requests, ``{id: release time}``."""
+    return tuple(Emission(t, request_id=rid) for rid, t in times.items())
+
+
+# Open ring: two fixed locations, 1/3 (id 1) and 2/3 (id 2).  At t = 1/3 the one
+# on the far side from the server is released, the other at 2/3.
+
+RING = Ring(1.0)
+
+
+def _nearer_two_thirds(position: float) -> bool:
+    s, dist = RING.norm(position), RING.unchecked_distance
+    return dist(s, 2 / 3) <= dist(s, 1 / 3) + EPS
+
+
+RING_OPEN = (1 / 3, _nearer_two_thirds, (
+    (_release({2: 1 / 3, 1: 2 / 3}), None),
+    (_release({1: 1 / 3, 2: 2 / 3}), None),
+))
+
+# Semi-line, locations known: four fixed spots 0, 1/6, 5/6 and 1 (ids 1-4).  At
+# t = 1 a server near one end gets the far end then and the rest one by one as
+# it walks back; a server in the middle gets both ends, then at t = 7/6 the inner
+# spot farther from it, and the other inner spot at 11/6.
+
+SEMILINE_OPEN_LOC = (1.0, lambda s: 0 if s < 1 / 6 else 2 if s > 5 / 6 else 1, (
+    (_release({4: 1.0, 3: 7 / 6, 2: 11 / 6, 1: 2.0}), None),
+    (_release({1: 1.0, 4: 1.0}), (7 / 6, lambda s: abs(s - 5 / 6) >= abs(s - 1 / 6), (
+        (_release({2: 7 / 6, 3: 11 / 6}), None),
+        (_release({3: 7 / 6, 2: 11 / 6}), None),
+    ))),
+    (_release({1: 1.0, 2: 7 / 6, 3: 11 / 6, 4: 2.0}), None),
+))
+
+
+# Semi-line, count-only: one request at t = 1, at the origin if the server is
+# at least ``threshold`` (1/3 closed, 1/2 open) away from it, else at 1.
+
+def _semiline_count(threshold: float) -> tuple:
+    return (1.0, lambda s: s >= threshold - EPS, (
+        ((Emission(1.0, point=1.0),), None),
+        ((Emission(1.0, point=0.0),), None),
+    ))
+
+
+TABLES = {  # name: (space, variant, knowledge, n, announced points, tree)
+    "ring-open": (RING, OPEN, LOCATIONS_KNOWN, 2, {1: 1 / 3, 2: 2 / 3}, RING_OPEN),
+    "semiline-open-loc": (SemiLine(), OPEN, LOCATIONS_KNOWN, 4,
+                          {1: 0.0, 2: 1 / 6, 3: 5 / 6, 4: 1.0}, SEMILINE_OPEN_LOC),
+    "semiline-closed-count": (SemiLine(), CLOSED, COUNT_KNOWN, 1, None, _semiline_count(1 / 3)),
+    "semiline-open-count": (SemiLine(), OPEN, COUNT_KNOWN, 1, None, _semiline_count(0.5)),
+}
 
 
 # The count constructions take about 1/epsilon requests and a run costs about
-# n^2: at this floor ring-closed-count (n = 1201) and star-count (n = 1400) each
-# run in about 1.5 s.
+# n^2: at this floor a greedy run of ring-closed-count (n = 1201) took 0.70-0.73 s
+# and one of star-count (n = 1400) 0.77-0.78 s (2-core Xeon VM, Python 3.11).
 MIN_EPSILON = 0.005
 
 
@@ -134,30 +183,26 @@ class RingClosedCountAdversary(Adversary):
         self.m_init = 4 * steps
         self.intervals = 2 * steps
         self.seeded = False
-        self.fired = False
-        self._next = 0.0  # next wake: 0 to seed, then never below 0.5
-
-    def next_wake(self, now: float) -> Optional[float]:
-        return None if self.fired else self._next
+        self.wake = 0.0  # 0 to seed, then never below 0.5 until the backfill
 
     def observe(self, now, position, served) -> List[Emission]:
         if not self.seeded:
             self.seeded = True
-            self._next = 0.5
+            self.wake = 0.5
             return [
                 Emission(0.0, point=i / (1.0 * self.m_init))
                 for i in range(self.m_init)
             ]
-        if self.fired or now < 0.5 - EPS:
+        if self.wake == math.inf or now < 0.5 - EPS:
             return []
         dist = self.space.unchecked_distance(self.space.norm(position), 0.0)
         phi = dist + now
         if phi < 1.0 - EPS:
             # Earliest possible crossing is when the server strictly recedes;
             # distance-from-origin + time reaches 1 by t=1 at the latest.
-            self._next = min(now + max((1.0 - phi) / 2.0, 1e-6), 1.0)
+            self.wake = min(now + max((1.0 - phi) / 2.0, 1e-6), 1.0)
             return []
-        self.fired = True
+        self.wake = math.inf
         frac = max(1.0 - now, 0.0)
         spacing = frac / self.intervals
         assert spacing <= self.epsilon / 4.0 + EPS
@@ -190,18 +235,13 @@ class StarCountAdversary(Adversary):
         self.seen: set = set()
         self.seeded = False
         self.finale = False
-
-    def next_wake(self, now: float) -> Optional[float]:
-        if not self.seeded:
-            return 1.0
-        if not self.finale:
-            return float(self.t_star)
-        return None
+        self.wake = 1.0  # then t_star, then never
 
     def observe(self, now, position, served) -> List[Emission]:
         ems: List[Emission] = []
         if not self.seeded and now >= 1.0 - EPS:
             self.seeded = True
+            self.wake = float(self.t_star)
             for j in range(self.k):
                 self.ledger.append((j, 1.0))
                 ems.append(Emission(1.0, point=(j, 1.0)))
@@ -216,90 +256,11 @@ class StarCountAdversary(Adversary):
                     ems.append(Emission(now + 2.0, point=point))
         if self.seeded and not self.finale and now >= self.t_star - EPS:
             self.finale = True
+            self.wake = math.inf
             while len(self.ledger) < self.n:
                 self.ledger.append((0, 0.0))
                 ems.append(Emission(float(self.t_star), point=(0, 0.0)))
         return ems
-
-
-# Semi-line, locations known: four fixed spots, outer-first or outer-pair
-# branches picked from the server's position at t=1 (and again at t=7/6).
-
-
-class SemilineOpenLocAdversary(Adversary):
-    name = "semiline-open-loc"
-
-    def __init__(self):
-        self.space = SemiLine()
-        self.variant = OPEN
-        self.n = 4
-        self.knowledge = LOCATIONS_KNOWN
-        self.stage = 0  # 0: before t=1; 1: middle branch, inner pending; 2: last inner; 3: done
-        self.pending_inner: Optional[int] = None
-
-    def announced(self) -> Dict[int, Point]:
-        return {1: 0.0, 2: 1.0 / 6.0, 3: 5.0 / 6.0, 4: 1.0}
-
-    def next_wake(self, now: float) -> Optional[float]:
-        return {0: 1.0, 1: 7.0 / 6.0, 2: 11.0 / 6.0}.get(self.stage)
-
-    def observe(self, now, position, served) -> List[Emission]:
-        if self.stage == 0 and now >= 1.0 - EPS:
-            s = position
-            if s < 1.0 / 6.0:
-                self.stage = 3
-                return [
-                    Emission(1.0, request_id=4),
-                    Emission(7.0 / 6.0, request_id=3),
-                    Emission(11.0 / 6.0, request_id=2),
-                    Emission(2.0, request_id=1),
-                ]
-            if s > 5.0 / 6.0:
-                self.stage = 3
-                return [
-                    Emission(1.0, request_id=1),
-                    Emission(7.0 / 6.0, request_id=2),
-                    Emission(11.0 / 6.0, request_id=3),
-                    Emission(2.0, request_id=4),
-                ]
-            self.stage = 1
-            return [Emission(1.0, request_id=1), Emission(1.0, request_id=4)]
-        if self.stage == 1 and now >= 7.0 / 6.0 - EPS:
-            s = position
-            far = 3 if abs(s - 5.0 / 6.0) >= abs(s - 1.0 / 6.0) else 2
-            self.pending_inner = 2 if far == 3 else 3
-            self.stage = 2
-            return [Emission(7.0 / 6.0, request_id=far)]
-        if self.stage == 2 and now >= 11.0 / 6.0 - EPS:
-            self.stage = 3
-            return [Emission(11.0 / 6.0, request_id=self.pending_inner)]
-        return []
-
-
-# Semi-line, count-only: one request, placed by the server's position at t=1.
-
-
-class SemilineCountAdversary(Adversary):
-    def __init__(self, variant: str):
-        self.space = SemiLine()
-        self.variant = variant
-        self.n = 1
-        self.knowledge = COUNT_KNOWN
-        self.threshold = 1.0 / 3.0 if variant == CLOSED else 0.5
-        self.name = (
-            "semiline-closed-count" if variant == CLOSED else "semiline-open-count"
-        )
-        self.fired = False
-
-    def next_wake(self, now: float) -> Optional[float]:
-        return None if self.fired else 1.0
-
-    def observe(self, now, position, served) -> List[Emission]:
-        if self.fired or now < 1.0 - EPS:
-            return []
-        self.fired = True
-        target = 0.0 if position >= self.threshold - EPS else 1.0
-        return [Emission(1.0, point=target)]
 
 
 def make_adversary(name: str, epsilon: Optional[float] = None) -> Adversary:
@@ -316,11 +277,9 @@ def make_adversary(name: str, epsilon: Optional[float] = None) -> Adversary:
         return RingClosedCountAdversary(epsilon if epsilon is not None else 0.5)
     if base == "star-count":
         return StarCountAdversary(epsilon if epsilon is not None else 0.5)
-    build = {"ring-open": RingOpenAdversary, "semiline-open-loc": SemilineOpenLocAdversary,
-             "semiline-closed-count": lambda: SemilineCountAdversary(CLOSED),
-             "semiline-open-count": lambda: SemilineCountAdversary(OPEN)}.get(base)
-    if build is None:
+    table = TABLES.get(base)
+    if table is None:
         raise ValueError(f"unknown adversary {name!r}")
     if epsilon is not None:
         raise ValueError(f"adversary {base!r} takes no epsilon, got {epsilon!r}")
-    return build()
+    return TableAdversary(base, *table)

@@ -99,18 +99,17 @@ class Emission:
 
 
 class Adversary:
-    """Adaptive release source: wakes at chosen times, observes, emits."""
+    """Adaptive release source: observes after every service and at time
+    ``wake`` (inf: never), which it may move in any ``observe``, and emits."""
 
     name = "adversary"
     space: MetricSpace
     variant: str
     n: int
     knowledge: str  # knowledge model the paired policy is allowed
+    wake: float = math.inf
 
     def announced(self) -> Optional[Dict[int, Point]]:
-        return None
-
-    def next_wake(self, now: float) -> Optional[float]:
         return None
 
     def observe(self, now: float, position: Point, served: FrozenSet[int]) -> List[Emission]:
@@ -185,6 +184,8 @@ def simulate(scenario: Scenario, policy: Policy, step_budget: int = 1_000_000) -
         adversary = scenario
         n_total = adversary.n
         points.update(sorted((adversary.announced() or {}).items()))
+        if len(points) > n_total:
+            raise SimulationError(f"adversary announced {len(points)} requests, n = {n_total}")
     for p in points.values():  # checked once; inside the run, distances are unchecked
         space.check_point(p)
 
@@ -194,7 +195,6 @@ def simulate(scenario: Scenario, policy: Policy, step_budget: int = 1_000_000) -
     released: Dict[int, Request] = {}
     served: Dict[int, float] = {}
     waypoints: List[Waypoint] = [Waypoint(0.0, pos, "start")]
-    adv_wake: Optional[float] = adversary.next_wake(0.0) if adversary else None
 
     def ingest(emissions: List[Emission]) -> None:
         for em in emissions:
@@ -222,7 +222,6 @@ def simulate(scenario: Scenario, policy: Policy, step_budget: int = 1_000_000) -
             released[rid] = Request(rid, points[rid], releases[rid])
 
     def auto_serve() -> None:
-        nonlocal adv_wake
         progress = True
         while progress:
             progress = False
@@ -236,7 +235,6 @@ def simulate(scenario: Scenario, policy: Policy, step_budget: int = 1_000_000) -
                     progress = True
                     if adversary is not None:
                         ingest(adversary.observe(now, pos, frozenset(served)))
-                        adv_wake = adversary.next_wake(now)
 
     locations = dict(points) if knowledge == LOCATIONS_KNOWN else None
     policy.begin(PolicyContext(space, variant, n_total, locations))
@@ -251,9 +249,8 @@ def simulate(scenario: Scenario, policy: Policy, step_budget: int = 1_000_000) -
                 f"step budget {step_budget} exceeded (policy {policy.name!r}); tail: {tail}"
             )
         auto_serve()
-        if adv_wake is not None and adv_wake <= now + EPS:
+        if adversary is not None and adversary.wake <= now + EPS:
             ingest(adversary.observe(now, pos, frozenset(served)))
-            adv_wake = adversary.next_wake(now)
             auto_serve()
         if len(served) == n_total and (
             variant != CLOSED or dist(pos, origin) <= EPS
@@ -289,8 +286,8 @@ def simulate(scenario: Scenario, policy: Policy, step_budget: int = 1_000_000) -
 
         if schedule:
             next_times.append(schedule[0][0])
-        if adv_wake is not None:
-            next_times.append(adv_wake)
+        if adversary is not None:
+            next_times.append(adversary.wake)
         t_next = max(min(next_times), now)
         if t_next == math.inf:
             raise SimulationError(
@@ -302,10 +299,6 @@ def simulate(scenario: Scenario, policy: Policy, step_budget: int = 1_000_000) -
         waypoints.append(Waypoint(now, pos, "wait" if plan is None else "move"))
 
     realized = tuple(Request(rid, points[rid], releases[rid]) for rid in sorted(releases))
-    if adversary is not None and len(realized) != n_total:
-        raise SimulationError(
-            f"adversary defined {len(realized)} of {n_total} announced requests"
-        )
     return Outcome(
         completion=now,
         services=dict(served),

@@ -1,3 +1,4 @@
+import math
 import re
 
 import pytest
@@ -128,16 +129,22 @@ def test_invalid_move_target_rejected():
         simulate(inst, _Escapist())
 
 
-class _Answer(Policy):
-    """Answers ``act(obs)`` at every decision."""
+class _Answer(Greedy):
+    """Answers ``act(obs)`` at every decision, or greedy's action when ``act``
+    is None, and records whether the engine called ``begin``."""
 
     name = "answer"
+    begun = False
 
     def __init__(self, act):
         self.act = act
 
+    def begin(self, ctx):
+        self.begun = True
+        super().begin(ctx)
+
     def decide(self, obs):
-        return self.act(obs)
+        return super().decide(obs) if self.act is None else self.act(obs)
 
 
 class _Emitter(Adversary):
@@ -149,15 +156,13 @@ class _Emitter(Adversary):
 
     def __init__(self, points, *emissions):
         self.points, self.emissions = points, list(emissions)
+        self.wake = 0.0 if emissions else math.inf
 
     def announced(self):
         return self.points
 
-    def next_wake(self, now):
-        return 0.0 if self.emissions else None
-
     def observe(self, now, position, served):
-        emitted, self.emissions = self.emissions, []
+        emitted, self.emissions, self.wake = self.emissions, [], math.inf
         return emitted
 
 
@@ -175,32 +180,21 @@ REFUSALS = {  # name: (answer, or None for greedy; emitter arguments, or None; m
                            "adversary causality violation: release -0.5 emitted at 0.0"),
     "over-budget-emission": (None, ({}, Emission(0.0, point=0.1), Emission(0.0, point=0.2)),
                              "adversary emitted more requests than announced"),
-    # A run ends once n requests are served, so this check can only catch an
-    # adversary that released more than n.
+    # Refused at entry, before the policy's ``begin``.
     "over-defined-adversary": (
         None, ({1: 0.5, 2: 0.7}, Emission(0.0, request_id=1), Emission(0.0, request_id=2)),
-        "adversary defined 2 of 1 announced requests"),
+        "adversary announced 2 requests, n = 1"),
 }
 
 
-@pytest.mark.parametrize("act,emitter,message", REFUSALS.values(), ids=REFUSALS)
-def test_engine_refuses(act, emitter, message):
+@pytest.mark.parametrize("name", REFUSALS)
+def test_engine_refuses(name):
+    act, emitter, message = REFUSALS[name]
     scenario = _Emitter(*emitter) if emitter else make_instance(SemiLine(), OPEN, [(1.0, 0.0)])
+    policy = _Answer(act)
     with pytest.raises(SimulationError, match=re.escape(message)):
-        simulate(scenario, Greedy() if act is None else _Answer(act))
-
-
-class _BeginWatcher(Policy):
-    """Records whether the engine called ``begin``."""
-
-    name = "begin-watcher"
-    begun = False
-
-    def begin(self, ctx):
-        self.begun = True
-
-    def decide(self, obs):
-        return WaitUntil()
+        simulate(scenario, policy)
+    assert policy.begun == (name != "over-defined-adversary")
 
 
 class _OffSpaceAnnouncer(Adversary):
@@ -218,7 +212,7 @@ class _OffSpaceAnnouncer(Adversary):
     _OffSpaceAnnouncer(),
 ], ids=["instance", "adversary"])
 def test_out_of_domain_point_refused_at_simulate_entry(scenario):
-    policy = _BeginWatcher()
+    policy = _Answer(None)
     with pytest.raises(MetricError, match="outside semiline domain"):
         simulate(scenario, policy)
     assert not policy.begun
