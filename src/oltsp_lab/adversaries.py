@@ -1,11 +1,13 @@
 """Adaptive release controllers that force worst-case ratios against policies.
 
-Each adversary announces a space, a variant, a request budget ``n`` and the
-knowledge model the paired policy may use, then watches the run (after every
-service, and at its ``wake`` time) and emits releases.  Emissions are causal:
-a release never predates the moment it is decided.  The four fixed-time
-constructions are data for one :class:`TableAdversary`; the two count
-constructions that loop over epsilon are classes of their own.
+Each adversary announces a space, a variant, a request budget ``n``, the
+knowledge model the paired policy may use and, in ``points``, any request
+locations fixed in advance.  It then watches the run (after every service, told
+the id just served, and at its ``wake`` time) and emits releases.  Emissions
+are causal: a release never predates the moment it is decided.  The four
+fixed-time constructions are data for one :class:`TableAdversary`; the two
+count constructions that loop over epsilon are classes of their own, and their
+``wake`` doubles as their stage.
 """
 from __future__ import annotations
 
@@ -86,9 +88,6 @@ class TableAdversary(Adversary):
         self.node: Optional[tuple] = tree
         self.wake = tree[0]
 
-    def announced(self) -> Optional[Dict[int, Point]]:
-        return self.points
-
     def observe(self, now, position, served) -> List[Emission]:
         if now < self.wake - EPS:
             return []
@@ -154,8 +153,9 @@ TABLES = {  # name: (space, variant, knowledge, n, announced points, tree)
 
 
 # The count constructions take about 1/epsilon requests and a run costs about
-# n^2: at this floor a greedy run of ring-closed-count (n = 1201) took 0.70-0.73 s
-# and one of star-count (n = 1400) 0.77-0.78 s (2-core Xeon VM, Python 3.11).
+# n^2: at this floor a greedy run of ring-closed-count (n = 1201, forced to
+# 1.9975) took 1.05-1.23 s and one of star-count (n = 1400) 0.78-0.85 s (best of
+# 5 in each of three rounds, 2-core Xeon VM, Python 3.11).
 MIN_EPSILON = 0.005
 
 
@@ -167,95 +167,79 @@ def _check_epsilon(epsilon: float) -> float:
 
 # Closed ring, count-only: equidistant seeds, then a backfill on the side the
 # server has already covered, timed at the first moment its distance from the
-# origin drops to 1/2 - (t - 1/2).
+# origin drops to 1/2 - (t - 1/2).  A server at the antipode has covered the
+# side of the last position observed strictly inside one half (clockwise if
+# none): in floats, greedy's first move can tie and go counter-clockwise.
 
 
 class RingClosedCountAdversary(Adversary):
-    name = "ring-closed-count"
+    name, space, variant, knowledge = "ring-closed-count", RING, CLOSED, COUNT_KNOWN
 
     def __init__(self, epsilon: float):
         self.epsilon = _check_epsilon(epsilon)
-        self.space = Ring(1.0)
-        self.variant = CLOSED
-        self.knowledge = COUNT_KNOWN
         steps = math.ceil(1.0 / epsilon)
         self.n = 6 * steps + 1
         self.m_init = 4 * steps
         self.intervals = 2 * steps
-        self.seeded = False
+        self.clockwise = True
         self.wake = 0.0  # 0 to seed, then never below 0.5 until the backfill
 
     def observe(self, now, position, served) -> List[Emission]:
-        if not self.seeded:
-            self.seeded = True
+        s = self.space.norm(position)
+        if EPS < s < 0.5 - EPS or 0.5 + EPS < s < 1.0 - EPS:
+            self.clockwise = s < 0.5
+        if self.wake == 0.0:
             self.wake = 0.5
-            return [
-                Emission(0.0, point=i / (1.0 * self.m_init))
-                for i in range(self.m_init)
-            ]
+            return [Emission(0.0, point=i / self.m_init) for i in range(self.m_init)]
         if self.wake == math.inf or now < 0.5 - EPS:
             return []
-        dist = self.space.unchecked_distance(self.space.norm(position), 0.0)
-        phi = dist + now
+        phi = self.space.unchecked_distance(s, 0.0) + now
         if phi < 1.0 - EPS:
             # Earliest possible crossing is when the server strictly recedes;
             # distance-from-origin + time reaches 1 by t=1 at the latest.
             self.wake = min(now + max((1.0 - phi) / 2.0, 1e-6), 1.0)
             return []
         self.wake = math.inf
-        frac = max(1.0 - now, 0.0)
-        spacing = frac / self.intervals
+        spacing = max(1.0 - now, 0.0) / self.intervals
         assert spacing <= self.epsilon / 4.0 + EPS
-        s = self.space.norm(position)
-        clockwise_side = s <= 0.5 + EPS
-        points = []
-        for j in range(self.intervals + 1):
-            p = j * spacing
-            points.append(p if clockwise_side else self.space.norm(1.0 - p))
-        points.sort()
+        points = [j * spacing for j in range(self.intervals + 1)]
+        if not self.clockwise:
+            points = sorted(self.space.norm(1.0 - p) for p in points)
         return [Emission(now, point=p) for p in points]
 
 
 # Star, count-only: one seed per branch at depth 1, a fresh request two time
 # units after every early service, and the leftover budget dumped at the hub.
+# The wake is the stage: 1 seeds, t_star re-emits until the dump at t_star,
+# inf is done.
 
 
 class StarCountAdversary(Adversary):
-    name = "star-count"
+    name, variant, knowledge = "star-count", CLOSED, COUNT_KNOWN
 
     def __init__(self, epsilon: float):
         self.epsilon = _check_epsilon(epsilon)
         self.n = math.ceil(7.0 / epsilon)
         self.k = self.n // 2
         self.space = Star(self.k)
-        self.variant = CLOSED
-        self.knowledge = COUNT_KNOWN
         self.t_star = 2 * self.k - 1
         self.ledger: List[Point] = []
-        self.seen: set = set()
-        self.seeded = False
-        self.finale = False
-        self.wake = 1.0  # then t_star, then never
+        self.wake = 1.0
 
     def observe(self, now, position, served) -> List[Emission]:
-        ems: List[Emission] = []
-        if not self.seeded and now >= 1.0 - EPS:
-            self.seeded = True
+        if self.wake == 1.0:
             self.wake = float(self.t_star)
-            for j in range(self.k):
-                self.ledger.append((j, 1.0))
-                ems.append(Emission(1.0, point=(j, 1.0)))
-        newly = sorted(set(served) - self.seen)
-        self.seen.update(newly)
-        if self.seeded and not self.finale:
-            for rid in newly:
-                point = self.ledger[rid - 1]
-                deep = isinstance(point, tuple) and abs(point[1] - 1.0) <= EPS
-                if deep and now < self.t_star - EPS and len(self.ledger) < self.n:
-                    self.ledger.append(point)
-                    ems.append(Emission(now + 2.0, point=point))
-        if self.seeded and not self.finale and now >= self.t_star - EPS:
-            self.finale = True
+            self.ledger = [(j, 1.0) for j in range(self.k)]
+            return [Emission(1.0, point=p) for p in self.ledger]
+        if self.wake == math.inf:
+            return []
+        ems: List[Emission] = []
+        if served is not None and now < self.t_star - EPS and len(self.ledger) < self.n:
+            point = self.ledger[served - 1]
+            if abs(point[1] - 1.0) <= EPS:
+                self.ledger.append(point)
+                ems.append(Emission(now + 2.0, point=point))
+        if now >= self.t_star - EPS:
             self.wake = math.inf
             while len(self.ledger) < self.n:
                 self.ledger.append((0, 0.0))

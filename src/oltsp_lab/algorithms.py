@@ -581,7 +581,10 @@ class Alg2Ring(Route):
     # movement steps --------------------------------------------------------
 
     def _arc_step(self, obs: Observation, target: float, clockwise: bool) -> Optional[Action]:
-        """Travel to ``target`` in the given direction."""
+        """Travel to ``target`` in the given direction; once every request is
+        served, go home by the shorter arc instead."""
+        if len(obs.served) == self.ctx.n:
+            return MoveTo(0.0)
         cur = self.ctx.space.norm(obs.position)
         d = 1.0 if clockwise else -1.0
         arc = self.ctx.space.arc(cur, target, d)

@@ -12,7 +12,9 @@ over a released request mid-move therefore serves it at the exact pass time.
 The engine alone ends a run: once every request is served and the run is open
 or the server is back at the origin, the run completes at that instant and the
 policy is not asked again (at n = 0 it is never asked).  Policies only route;
-a closed policy brings the server home itself, by whatever way it chooses.
+a closed policy brings the server home itself, by whatever way it chooses.  A
+step that leaves the clock where it is, with no adversary wake due, moves
+nothing, so every later step would repeat it: the engine refuses it.
 """
 from __future__ import annotations
 
@@ -99,20 +101,21 @@ class Emission:
 
 
 class Adversary:
-    """Adaptive release source: observes after every service and at time
-    ``wake`` (inf: never), which it may move in any ``observe``, and emits."""
+    """Adaptive release source.  ``points`` announces requests by id before the
+    run (None: none).  The engine calls ``observe(now, position, served)``
+    after each service with the id just served, and with None once the clock
+    reaches ``wake`` (inf: never), which ``observe`` may move; it answers
+    emissions."""
 
     name = "adversary"
     space: MetricSpace
     variant: str
     n: int
     knowledge: str  # knowledge model the paired policy is allowed
+    points: Optional[Dict[int, Point]] = None
     wake: float = math.inf
 
-    def announced(self) -> Optional[Dict[int, Point]]:
-        return None
-
-    def observe(self, now: float, position: Point, served: FrozenSet[int]) -> List[Emission]:
+    def observe(self, now: float, position: Point, served: Optional[int]) -> List[Emission]:
         return []
 
 
@@ -183,7 +186,7 @@ def simulate(scenario: Scenario, policy: Policy, step_budget: int = 1_000_000) -
     else:
         adversary = scenario
         n_total = adversary.n
-        points.update(sorted((adversary.announced() or {}).items()))
+        points.update(sorted((adversary.points or {}).items()))
         if len(points) > n_total:
             raise SimulationError(f"adversary announced {len(points)} requests, n = {n_total}")
     for p in points.values():  # checked once; inside the run, distances are unchecked
@@ -234,7 +237,7 @@ def simulate(scenario: Scenario, policy: Policy, step_budget: int = 1_000_000) -
                     waypoints.append(Waypoint(now, points[rid], "serve", rid))
                     progress = True
                     if adversary is not None:
-                        ingest(adversary.observe(now, pos, frozenset(served)))
+                        ingest(adversary.observe(now, pos, rid))
 
     locations = dict(points) if knowledge == LOCATIONS_KNOWN else None
     policy.begin(PolicyContext(space, variant, n_total, locations))
@@ -250,7 +253,7 @@ def simulate(scenario: Scenario, policy: Policy, step_budget: int = 1_000_000) -
             )
         auto_serve()
         if adversary is not None and adversary.wake <= now + EPS:
-            ingest(adversary.observe(now, pos, frozenset(served)))
+            ingest(adversary.observe(now, pos, None))
             auto_serve()
         if len(served) == n_total and (
             variant != CLOSED or dist(pos, origin) <= EPS
@@ -293,6 +296,8 @@ def simulate(scenario: Scenario, policy: Policy, step_budget: int = 1_000_000) -
             raise SimulationError(
                 f"simulation stalled at t={now}: nothing scheduled and policy is waiting"
             )
+        if t_next == now and (adversary is None or adversary.wake > now + EPS):
+            raise SimulationError(f"no progress at t={now} (policy {policy.name!r})")
         if plan is not None:
             pos = plan.point_at(min(t_next - now, plan.total))
         now = t_next

@@ -34,6 +34,17 @@ def test_ring_closed_count_forces_two_minus_eps(policy):
     assert validate_instance(r.materialized) == []
 
 
+@pytest.mark.parametrize("epsilon", [0.15, 0.05, 0.03, 0.01, 0.005])
+def test_ring_closed_count_backfills_the_covered_side(epsilon):
+    # Greedy's first move ties between the seeds next to the origin, and at
+    # these epsilons float rounding sends it counter-clockwise; it reaches the
+    # antipode at t = 1/2, where its position alone does not tell the side.
+    out = simulate(make_adversary("ring-closed-count", epsilon), make_policy("greedy"))
+    _, first = min((t, rid) for rid, t in out.services.items() if t > 0)
+    assert out.realized[first - 1].point > 0.5
+    assert out.completion >= 2 - epsilon
+
+
 def test_ring_closed_count_rejects_location_policies():
     with pytest.raises(SimulationError, match="locations"):
         run("ring-closed-count", "alg1", epsilon=0.5)

@@ -563,6 +563,21 @@ def test_alg2_ratio_small_sweep():
         assert verify_outcome(inst, out) == []
 
 
+def test_alg2_goes_home_by_the_shorter_arc():
+    """Once every request is served, alg2 takes the shorter arc home, so a run
+    ends at its last service plus the ring distance from there to the origin."""
+    for non_line_like, n, horizon, seed in itertools.product(
+            (False, True), range(2, 8), (0.0, 0.25, 1.0, 3.0), range(30)):
+        inst = generate_random(GenParams(n=n, seed=seed, release_horizon=horizon,
+                                         space_params={"non_line_like": non_line_like}),
+                               "ring", variant=CLOSED)
+        out = simulate(inst, Alg2Ring())
+        last = max(out.services, key=out.services.get)
+        home = inst.space.distance(inst.requests[last - 1].point, 0.0)
+        assert out.completion == pytest.approx(out.services[last] + home, abs=1e-9), \
+            (non_line_like, n, horizon, seed)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32), st.integers(2, 9), st.sampled_from((0.0, 0.5, 2.0)), st.data())
 def test_alg2_does_not_read_request_ids_as_ring_order(seed, n, horizon, data):

@@ -104,10 +104,12 @@ def test_pass_over_service_is_instantaneous():
 
 
 class _Spinner(Policy):
+    """Never moves: waits one time unit per step."""
+
     name = "spinner"
 
     def decide(self, obs):
-        return WaitUntil(obs.now)
+        return WaitUntil(obs.now + 1.0)
 
 
 def test_step_budget_exceeded():
@@ -158,9 +160,6 @@ class _Emitter(Adversary):
         self.points, self.emissions = points, list(emissions)
         self.wake = 0.0 if emissions else math.inf
 
-    def announced(self):
-        return self.points
-
     def observe(self, now, position, served):
         emitted, self.emissions, self.wake = self.emissions, [], math.inf
         return emitted
@@ -172,6 +171,8 @@ REFUSALS = {  # name: (answer, or None for greedy; emitter arguments, or None; m
     "wait-into-the-past": (lambda obs: WaitUntil(-1.0), None,
                            "wait-until into the past: -1.0 < 0.0"),
     "non-action": (lambda obs: None, None, "policy returned invalid action None"),
+    "no-progress": (lambda obs: WaitUntil(obs.now), None,
+                    "no progress at t=0.0 (policy 'answer')"),
     "bad-emission-id": (None, ({}, Emission(0.0, request_id=1)),
                         "bad adversary emission for id 1"),
     "emission-outside-space": (None, ({}, Emission(0.0, point=-1.0)),
@@ -202,9 +203,7 @@ class _OffSpaceAnnouncer(Adversary):
 
     name = "off-space-announcer"
     space, variant, n, knowledge = SemiLine(), OPEN, 1, "locations"
-
-    def announced(self):
-        return {1: -1.0}
+    points = {1: -1.0}
 
 
 @pytest.mark.parametrize("scenario", [
@@ -216,6 +215,33 @@ def test_out_of_domain_point_refused_at_simulate_entry(scenario):
     with pytest.raises(MetricError, match="outside semiline domain"):
         simulate(scenario, policy)
     assert not policy.begun
+
+
+class _Recorder(Adversary):
+    """Releases three announced semi-line requests at time 0, wakes again at
+    1/4, and records every ``observe`` call as ``(now, served)``."""
+
+    name = "recorder"
+    space, variant, n, knowledge = SemiLine(), OPEN, 3, COUNT_KNOWN
+    points = {1: 1.0, 2: 0.5, 3: 1.0}
+
+    def __init__(self):
+        self.calls, self.wakes, self.wake = [], [0.25, math.inf], 0.0
+
+    def observe(self, now, position, served):
+        self.calls.append((now, served))
+        if served is not None:
+            return []
+        first, self.wake = self.wake == 0.0, self.wakes.pop(0)
+        return [Emission(0.0, request_id=rid) for rid in self.points] if first else []
+
+
+def test_adversary_observes_each_service_and_each_wake():
+    # Greedy serves id 2 at 0.5, then ids 1 and 3 together at 1.0, in id order.
+    adversary = _Recorder()
+    out = simulate(adversary, Greedy())
+    assert out.services == {2: 0.5, 1: 1.0, 3: 1.0}
+    assert adversary.calls == [(0.0, None), (0.25, None), (0.5, 2), (1.0, 1), (1.0, 3)]
 
 
 def test_verify_refuses_out_of_domain_waypoint():
