@@ -57,7 +57,7 @@ def next_stop(points: Dict[int, Point], obs: Observation,
               offset: Callable[[Point], Optional[float]],
               move: Callable[[Point], Action]) -> Optional[Action]:
     """Next action of a serve-with-wait sweep, or None when no stop is left.
-    The stop is the unreleased, unserved request with the smallest
+    The stop is the unreleased request (a served one was released) with the smallest
     ``offset(point) >= -EPS``, ties to the lowest id; ``offset`` is the
     distance left to travel along the sweep to a point, or None for a point
     off the sweep.  At the stop the server answers ``WaitUntil()``, which the
@@ -65,7 +65,7 @@ def next_stop(points: Dict[int, Point], obs: Observation,
     ``move(point)``."""
     best = None
     for rid, p in points.items():
-        if rid in obs.served or rid in obs.released:
+        if rid in obs.released:
             continue
         off = offset(p)
         if off is not None and off >= -EPS and (best is None or (off, rid) < best):
@@ -713,7 +713,7 @@ class Alg3Star(Route):
         """Serve-with-wait sweep in along ``ray``; the walk to the hub after
         the last stop is the next step's."""
         pos = obs.position
-        depth = pos[1] if isinstance(pos, tuple) and pos[0] == ray else 0.0
+        depth = pos[1] if pos[0] == ray else 0.0
         return next_stop(self.points, obs,
                          lambda p: depth - p[1] if p[0] == ray or p[1] <= EPS else None,
                          lambda p: MoveTo((ray, p[1])))
@@ -756,10 +756,6 @@ class _SemilineRoute(Route):
     def begin(self, ctx: PolicyContext) -> None:
         super().begin(ctx)
         self.limit = max(self.points.values(), default=0.0)
-
-    def _out(self, obs: Observation) -> Optional[Action]:
-        """Travel out to the farthest request."""
-        return MoveTo(self.limit) if obs.position < self.limit - EPS else None
 
     def _sweep(self, obs: Observation, rightward: bool) -> Action:
         """Serve-with-wait sweep in one direction.  With no stop left, go on
@@ -829,7 +825,7 @@ class Alg4Semiline(_SemilineRoute):
             for rid, p in self.points.items()
             if rid not in obs.released
         ):
-            self.steps[1:1] = [("_out",), ("_sweep", False)]
+            self.steps[1:1] = [("go", self.limit), ("_sweep", False)]
         else:
             return WaitUntil()
         return None
@@ -847,8 +843,9 @@ class Alg5Semiline(_SemilineRoute):
     name = "alg5-semiline"
     requires_variant = CLOSED
 
-    def __init__(self):
-        self.steps = [("_out",), ("_sweep", False)]
+    def begin(self, ctx: PolicyContext) -> None:
+        super().begin(ctx)
+        self.steps = [("go", self.limit), ("_sweep", False)]
 
 
 # Baselines ------------------------------------------------------------------------
@@ -884,7 +881,8 @@ class WaitAll(Route):
 
 
 class Greedy(Policy):
-    """Chases the nearest released unserved request; idles at the origin."""
+    """Chases the nearest released unserved request, ties to the lowest point,
+    then the lowest id; idles at the origin."""
 
     name = "greedy"
     needs_locations = False
@@ -895,13 +893,13 @@ class Greedy(Policy):
     def decide(self, obs: Observation) -> Action:
         space = self.ctx.space
         o, dist = space.origin(), space.unchecked_distance
-        candidates = [rid for rid in obs.released if rid not in obs.served]
+        candidates = [(q.point, rid) for rid, q in obs.released.items() if rid not in obs.served]
         if not candidates:
             if dist(obs.position, o) > EPS:
                 return MoveTo(o)
             return WaitUntil()
-        rid = min(candidates, key=lambda r: (dist(obs.position, obs.released[r].point), r))
-        return MoveTo(obs.released[rid].point)
+        point, _ = min(candidates, key=lambda c: (dist(obs.position, c[0]), c))
+        return MoveTo(point)
 
 
 # Name registry ---------------------------------------------------------------------

@@ -8,6 +8,9 @@ any event wakes the policy earlier, so a wait names only its latest wake time.
 A request is served automatically and instantaneously whenever the server's
 position coincides with a released, unserved request (within ``EPS``); passing
 over a released request mid-move therefore serves it at the exact pass time.
+A fixed :class:`Instance` puts its schedule on the heap up front and runs with
+the plain :class:`Adversary`, which never wakes and emits nothing: every
+scenario takes one event path.
 
 The engine alone ends a run: once every request is served and the run is open
 or the server is back at the origin, the run completes at that instant and the
@@ -165,27 +168,26 @@ class Outcome:
 
 # Simulation -------------------------------------------------------------------
 
+STEP_BUDGET = 1_000_000  # most policy decisions in one run
 
-def simulate(scenario: Scenario, policy: Policy, step_budget: int = 1_000_000) -> Outcome:
+
+def simulate(scenario: Scenario, policy: Policy) -> Outcome:
     space = scenario.space
     variant = scenario.variant
     knowledge = scenario.knowledge
-    check_pairing(policy, space.kind, variant, knowledge, scenario.n)
+    n_total = scenario.n
+    check_pairing(policy, space.kind, variant, knowledge, n_total)
 
-    adversary: Optional[Adversary] = None
     points: Dict[int, Point] = {}
     releases: Dict[int, float] = {}  # an adversary's requests lack one until emitted
     schedule: List[Tuple[float, int]] = []  # (release time, id) heap
-    n_total: int
-
     if isinstance(scenario, Instance):
-        n_total = scenario.n
+        adversary = Adversary()
         for req in scenario.requests:
             points[req.id], releases[req.id] = req.point, req.release
             heapq.heappush(schedule, (req.release, req.id))
     else:
         adversary = scenario
-        n_total = adversary.n
         points.update(sorted((adversary.points or {}).items()))
         if len(points) > n_total:
             raise SimulationError(f"adversary announced {len(points)} requests, n = {n_total}")
@@ -236,23 +238,22 @@ def simulate(scenario: Scenario, policy: Policy, step_budget: int = 1_000_000) -
                     served[rid] = now
                     waypoints.append(Waypoint(now, points[rid], "serve", rid))
                     progress = True
-                    if adversary is not None:
-                        ingest(adversary.observe(now, pos, rid))
+                    ingest(adversary.observe(now, pos, rid))
 
     locations = dict(points) if knowledge == LOCATIONS_KNOWN else None
     policy.begin(PolicyContext(space, variant, n_total, locations))
     steps = 0
     while True:
         steps += 1
-        if steps > step_budget:
+        if steps > STEP_BUDGET:
             tail = ", ".join(
                 f"{w.time:.6g}:{w.tag}" for w in waypoints[-8:]
             )
             raise SimulationError(
-                f"step budget {step_budget} exceeded (policy {policy.name!r}); tail: {tail}"
+                f"step budget {STEP_BUDGET} exceeded (policy {policy.name!r}); tail: {tail}"
             )
         auto_serve()
-        if adversary is not None and adversary.wake <= now + EPS:
+        if adversary.wake <= now + EPS:
             ingest(adversary.observe(now, pos, None))
             auto_serve()
         if len(served) == n_total and (
@@ -289,14 +290,13 @@ def simulate(scenario: Scenario, policy: Policy, step_budget: int = 1_000_000) -
 
         if schedule:
             next_times.append(schedule[0][0])
-        if adversary is not None:
-            next_times.append(adversary.wake)
+        next_times.append(adversary.wake)
         t_next = max(min(next_times), now)
         if t_next == math.inf:
             raise SimulationError(
                 f"simulation stalled at t={now}: nothing scheduled and policy is waiting"
             )
-        if t_next == now and (adversary is None or adversary.wake > now + EPS):
+        if t_next == now and adversary.wake > now + EPS:
             raise SimulationError(f"no progress at t={now} (policy {policy.name!r})")
         if plan is not None:
             pos = plan.point_at(min(t_next - now, plan.total))

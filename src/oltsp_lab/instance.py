@@ -116,6 +116,8 @@ def _point_text(kind: str, point: Point) -> str:
         ray, depth = point
         return f"[{ray}, {format_number(float(depth))}]"
     if kind == "general":
+        if isinstance(point, EdgePoint):
+            return f"[{point.a}, {point.b}, {format_number(float(point.traveled))}]"
         return str(int(point))
     raise FormatError(f"unknown kind {kind}")
 
@@ -157,7 +159,8 @@ def encode(inst: Instance) -> str:
 
 def outcome_to_text(out) -> str:
     """Structured-text export of an engine ``Outcome``: completion, services,
-    waypoint triplets."""
+    waypoint triplets.  A point mid-way along a general space's edge is written
+    exactly, as ``[a, b, traveled]``."""
     space = out.trajectory.space
     lines = ["{"]
     lines.append(f'  "completion": {format_number(out.completion)},')
@@ -166,21 +169,13 @@ def outcome_to_text(out) -> str:
     rows = []
     for wp in out.trajectory.waypoints:
         tag = wp.tag if wp.request_id is None else f"{wp.tag}:{wp.request_id}"
-        pt = _point_text(space.kind, _export_point(space, wp.point))
+        pt = _point_text(space.kind, wp.point)
         rows.append(f'    [{format_number(wp.time)}, {pt}, "{tag}"]')
     lines.append('  "trajectory": [')
     lines.append(",\n".join(rows))
     lines.append("  ]")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _export_point(space: MetricSpace, p: Point):
-    # Mid-edge points on general spaces round to the nearer endpoint for export.
-    if isinstance(p, EdgePoint):
-        half = space.matrix[p.a][p.b] / 2.0
-        return p.a if p.traveled <= half else p.b
-    return p
 
 
 def _require(obj, field_name: str, where: str = ""):

@@ -48,6 +48,8 @@ class MovePlan:
     the server moves at unit speed from chart coordinate ``x_from`` to ``x_to``,
     ``to_point(x)`` is the point at coordinate ``x`` and ``coord(p)`` is the
     coordinate of point ``p`` on the chart, or None when ``p`` is off it.
+    Charts trust their points: ``p`` is an in-domain point of the space, so
+    ``coord`` checks no type or shape.
     """
 
     def __init__(self, legs):
@@ -116,12 +118,9 @@ class MetricSpace:
             raise MetricError(f"point {p!r} outside {self.kind} domain")
 
 
-def _line_point(x: float) -> float:
+def _line_chart(x: float) -> float:
+    """The line is its own chart: a point is its coordinate and back."""
     return x
-
-
-def _line_coord(p: Point) -> Optional[float]:
-    return p if isinstance(p, (int, float)) else None
 
 
 @dataclass(frozen=True)
@@ -140,7 +139,7 @@ class Line(MetricSpace):
     distance = MetricSpace.distance
 
     def plan_move(self, a: float, b: float) -> MovePlan:
-        return MovePlan([(a, b, _line_point, _line_coord)])
+        return MovePlan([(a, b, _line_chart, _line_chart)])
 
 
 @dataclass(frozen=True)
@@ -190,8 +189,8 @@ class Ring(MetricSpace):
         def to_point(x: float) -> float:
             return (a0 + direction * x) % c
 
-        def coord(p: Point) -> Optional[float]:
-            return self.arc(a0, p % c, direction) if isinstance(p, (int, float)) else None
+        def coord(p: float) -> float:
+            return self.arc(a0, p % c, direction)
 
         return MovePlan([(0.0, length, to_point, coord)])
 
@@ -264,8 +263,6 @@ class Star(MetricSpace):
             return (ray, x)
 
         def coord(p: Point) -> Optional[float]:
-            if not (isinstance(p, tuple) and len(p) == 2):
-                return None
             pr, pd = p
             return pd if pr == ray or pd <= EPS else None
 
@@ -322,14 +319,12 @@ class General(MetricSpace):
             return min(back, ahead)
         if isinstance(a, int) and isinstance(b, EdgePoint):
             return self.matrix[a][b.a] + b.traveled
-        if isinstance(a, EdgePoint) and isinstance(b, EdgePoint):
-            if (a.a, a.b) == (b.a, b.b):
-                return abs(a.traveled - b.traveled)
-            return min(
-                a.traveled + self.matrix[a.a][b.a] + b.traveled,
-                (self.matrix[a.a][a.b] - a.traveled) + self.matrix[a.b][b.a] + b.traveled,
-            )
-        raise MetricError(f"unsupported point pair {a!r}, {b!r}")
+        if (a.a, a.b) == (b.a, b.b):  # both mid-edge from here on
+            return abs(a.traveled - b.traveled)
+        return min(
+            a.traveled + self.matrix[a.a][b.a] + b.traveled,
+            (self.matrix[a.a][a.b] - a.traveled) + self.matrix[a.b][b.a] + b.traveled,
+        )
 
     distance = MetricSpace.distance
 
@@ -347,12 +342,10 @@ class General(MetricSpace):
             else:
                 first, node = self._edge_leg(a.a, a.b, a.traveled, 0.0), a.a
             return MovePlan([first] + self.plan_move(node, b).legs)
-        if isinstance(a, int) and isinstance(b, EdgePoint):
-            return MovePlan([
-                self._edge_leg(a, b.a, 0.0, self.matrix[a][b.a]),
-                self._edge_leg(b.a, b.b, 0.0, b.traveled),
-            ])
-        raise MetricError(f"unsupported move {a!r} -> {b!r}")
+        return MovePlan([  # from a node to a point mid-edge
+            self._edge_leg(a, b.a, 0.0, self.matrix[a][b.a]),
+            self._edge_leg(b.a, b.b, 0.0, b.traveled),
+        ])
 
     def _edge_leg(self, a: int, b: int, t_from: float, t_to: float) -> tuple:
         """Leg charted by the distance travelled along the edge a -> b."""
@@ -366,11 +359,9 @@ class General(MetricSpace):
             return EdgePoint(a, b, t)
 
         def coord(p: Point) -> Optional[float]:
-            if isinstance(p, int):
-                return 0.0 if p == a else edge_len if p == b else None
             if isinstance(p, EdgePoint):
                 return p.traveled if (p.a, p.b) == (a, b) else None
-            return None
+            return 0.0 if p == a else edge_len if p == b else None
 
         return (t_from, t_to, to_point, coord)
 

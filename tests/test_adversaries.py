@@ -142,20 +142,19 @@ REPLAYS = [  # (construction, policy, epsilon): every construction at least once
     ("semiline-open-loc", "alg4-semiline", None),
     ("semiline-closed-count", "greedy", None),
     ("semiline-open-count", "greedy", None),
+] + [  # greedy meets distance ties here; the replay numbers requests by position
+    ("ring-closed-count", "greedy", eps) for eps in (1.0, 0.75, 0.3, 0.25)
 ]
 
 
-@pytest.mark.parametrize("name,policy,eps", REPLAYS,
-                         ids=[f"{name}-{policy}" for name, policy, _ in REPLAYS])
+@pytest.mark.parametrize("name,policy,eps", REPLAYS, ids=[
+    f"{name}-{policy}" if eps in (None, 0.5) else f"{name}-{policy}-{eps}"
+    for name, policy, eps in REPLAYS
+])
 def test_replay_matches_run(name, policy, eps):
     r = run(name, policy, eps)
     replay = simulate(r.materialized, make_policy(policy))
     assert replay.completion == pytest.approx(r.forced_completion, abs=1e-9)
-    if (name, policy) == ("ring-closed-count", "greedy"):
-        # Greedy breaks distance ties by id, and the replay numbers the ring's
-        # requests by position: at t = 1/2 it turns back to the backfill at 3/8
-        # where the run went on to the seed at 5/8, so only the completion agrees.
-        return
     got = _service_times(r.materialized.requests, replay.services)
     want = _service_times(r.outcome.realized, r.outcome.services)
     assert [k for k, _ in got] == [k for k, _ in want]

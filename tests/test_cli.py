@@ -3,11 +3,11 @@ from dataclasses import replace
 
 import pytest
 
-from oltsp_lab import CLOSED, OPEN, Instance, Request, adversaries, decode, encode
-from oltsp_lab import cli, validate_instance
+from oltsp_lab import CLOSED, OPEN, GenParams, Instance, Request, adversaries, decode, encode
+from oltsp_lab import cli, generate_random, make_policy, simulate, validate_instance, verify_outcome
 from oltsp_lab.cli import BatchRow, report, run_cli
-from oltsp_lab.engine import PairingError, SimulationError
-from oltsp_lab.metric import SemiLine
+from oltsp_lab.engine import PairingError, SimulationError, Trajectory, Waypoint
+from oltsp_lab.metric import EdgePoint, SemiLine
 
 
 @pytest.fixture
@@ -32,6 +32,35 @@ def test_simulate_trace(ex1_file, capsys):
     assert code == 0
     assert '"trajectory"' in out
     assert '"serve:2"' in out
+
+
+def _trace_waypoint(time, point, tag):
+    """A waypoint as ``simulate --trace`` prints it: a general point is a node
+    id or ``[a, b, traveled]``, a tag ``serve:<id>`` names the request."""
+    tag, _, rid = tag.partition(":")
+    point = EdgePoint(*point) if isinstance(point, list) else point
+    return Waypoint(time, point, tag, int(rid) if rid else None)
+
+
+def test_general_trace_prints_exact_points(tmp_path, capsys):
+    """A printed general trace decodes to the run's own waypoints, mid-edge
+    points included, so it moves at unit speed."""
+    path, mid_edge = tmp_path / "general.json", 0
+    for name in ("alg1", "wait-all", "greedy"):
+        for seed in range(4):
+            inst = generate_random(GenParams(n=3, seed=seed, release_horizon=0.6), "general")
+            path.write_text(encode(inst))
+            assert run_cli(["simulate", "--instance", str(path), "--policy", name,
+                            "--trace"]) == 0
+            printed = capsys.readouterr().out
+            doc = json.loads(printed[printed.index("\n") + 1:])
+            waypoints = tuple(_trace_waypoint(*row) for row in doc["trajectory"])
+            out = simulate(inst, make_policy(name))
+            assert waypoints == out.trajectory.waypoints
+            traced = replace(out, trajectory=Trajectory(inst.space, waypoints))
+            assert verify_outcome(inst, traced) == []
+            mid_edge += sum(isinstance(w.point, EdgePoint) for w in waypoints)
+    assert mid_edge > 0
 
 
 def test_oracle_command(ex1_file, capsys):

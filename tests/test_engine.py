@@ -1,25 +1,33 @@
 import math
 import re
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_instance
+from conftest import make_instance, tie_heavy_instances
 from oltsp_lab import (
     CLOSED,
     COUNT_KNOWN,
+    LOCATIONS_KNOWN,
     OPEN,
     GenParams,
     Instance,
     MoveTo,
     Outcome,
+    PairingError,
     Request,
     SimulationError,
     Trajectory,
     WaitUntil,
+    check_pairing,
     generate_random,
     simulate,
     verify_outcome,
 )
+from oltsp_lab import engine
+from oltsp_lab.adversaries import TableAdversary
 from oltsp_lab.algorithms import Alg1General, Greedy, make_policy
 from oltsp_lab.engine import Adversary, Emission, Policy, Waypoint
 from oltsp_lab.cli import run_cli
@@ -80,6 +88,44 @@ def test_verify_catches_superluminal_motion():
     assert any("unit speed" in v or "superluminal" in v for v in verify_outcome(inst, bad))
 
 
+def _semiline_outcome(completion, services, *waypoints):
+    """An outcome for the open semi-line request at 1 released at 0."""
+    inst = make_instance(SemiLine(), OPEN, [(1.0, 0.0)])
+    traj = Trajectory(inst.space, tuple(Waypoint(*w) for w in waypoints))
+    return inst, Outcome(completion, services, traj, inst.requests)
+
+
+VERIFY_REFUSALS = {  # name: (outcome arguments, the issue it must raise)
+    "late-start": ((1.5, {1: 1.5}, (0.5, 0.0, "start"), (1.5, 1.0, "serve", 1)),
+                   "trajectory does not start at time 0"),
+    "start-off-origin": ((0.5, {1: 0.5}, (0.0, 0.5, "start"), (0.5, 1.0, "serve", 1)),
+                         "trajectory does not start at the origin"),
+    "time-backwards": ((1.0, {1: 1.0}, (0.0, 0.0, "start"), (1.0, 1.0, "serve", 1),
+                        (0.5, 1.0, "wait")),
+                       "time goes backwards at 0.5"),
+    "serve-away": ((0.5, {1: 0.5}, (0.0, 0.0, "start"), (0.5, 0.5, "serve", 1)),
+                   "serve waypoint for 1 away from its request"),
+    "serve-off-services": ((2.0, {1: 2.0}, (0.0, 0.0, "start"), (1.0, 1.0, "serve", 1),
+                            (2.0, 1.0, "wait")),
+                           "serve waypoint for 1 disagrees with services"),
+    "completion-before-service": ((0.5, {1: 1.0}, (0.0, 0.0, "start"),
+                                   (1.0, 1.0, "serve", 1)),
+                                  "completion earlier than the last service"),
+    "completion-off-trajectory": ((1.0, {1: 1.0}, (0.0, 0.0, "start"),
+                                   (1.0, 1.0, "serve", 1), (2.0, 1.0, "wait")),
+                                  "completion disagrees with the trajectory's final time"),
+    "open-completion-after-service": ((2.0, {1: 1.0}, (0.0, 0.0, "start"),
+                                       (1.0, 1.0, "serve", 1), (2.0, 1.0, "wait")),
+                                      "open completion is not the last service time"),
+}
+
+
+@pytest.mark.parametrize("name", VERIFY_REFUSALS)
+def test_verify_refuses(name):
+    args, issue = VERIFY_REFUSALS[name]
+    assert issue in verify_outcome(*_semiline_outcome(*args))
+
+
 def test_replay_determinism(example1):
     a = simulate(example1, Alg1General())
     b = simulate(example1, Alg1General())
@@ -112,10 +158,11 @@ class _Spinner(Policy):
         return WaitUntil(obs.now + 1.0)
 
 
-def test_step_budget_exceeded():
+def test_step_budget_exceeded(monkeypatch):
+    monkeypatch.setattr(engine, "STEP_BUDGET", 50)
     inst = make_instance(SemiLine(), OPEN, [(1.0, 0.0)])
-    with pytest.raises(SimulationError, match="step budget"):
-        simulate(inst, _Spinner(), step_budget=50)
+    with pytest.raises(SimulationError, match="step budget 50 exceeded"):
+        simulate(inst, _Spinner())
 
 
 class _Escapist(Policy):
@@ -384,3 +431,35 @@ def test_engine_outcomes_verify_across_policies(example1):
     for name in ["alg1", "wait-all", "greedy"]:
         out = simulate(example1, make_policy(name))
         assert verify_outcome(example1, out) == [], name
+
+
+ALL_KINDS = [("general", {}), ("general", {"asymmetric": True}), ("line", {}),
+             ("ring", {}), ("star", {"ray_count": 3}), ("semiline", {})]
+POLICIES = ["alg1", "alg2-ring", "alg3-star", "alg3-star:fptas=0.1", "alg4-semiline",
+            "alg5-semiline", "wait-all", "greedy"]
+
+
+def _announcing_everything(inst):
+    """``inst`` as a decision-table adversary: it announces every point and,
+    at its one wake at time 0, emits every release."""
+    releases = tuple(Emission(r.release, request_id=r.id) for r in inst.requests)
+    return TableAdversary("fixed", inst.space, inst.variant, inst.knowledge, inst.n,
+                          {r.id: r.point for r in inst.requests},
+                          (0.0, lambda position: 0, ((releases, None),)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_heavy_instances(ALL_KINDS, max_n=6, min_n=0),
+       st.sampled_from((LOCATIONS_KNOWN, COUNT_KNOWN)))
+def test_instance_runs_as_the_adversary_that_announced_it(inst, knowledge):
+    inst = replace(inst, knowledge=knowledge)
+    for name in POLICIES:
+        try:
+            check_pairing(make_policy(name), inst.space.kind, inst.variant, knowledge, inst.n)
+        except PairingError:
+            continue
+        fixed = simulate(inst, make_policy(name))
+        adaptive = simulate(_announcing_everything(inst), make_policy(name))
+        assert adaptive.completion == fixed.completion, name
+        assert adaptive.services == fixed.services, name
+        assert adaptive.trajectory.waypoints == fixed.trajectory.waypoints, name
