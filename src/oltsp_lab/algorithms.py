@@ -882,7 +882,8 @@ class WaitAll(Route):
 
 class Greedy(Policy):
     """Chases the nearest released unserved request, ties to the lowest point,
-    then the lowest id; idles at the origin."""
+    then the lowest id; idles at the origin.  General request points must be
+    node ids: a tie with an unordered :class:`EdgePoint` raises ``TypeError``."""
 
     name = "greedy"
     needs_locations = False

@@ -817,8 +817,9 @@ class SweepHomeAlg5(Alg5Semiline):
     """Reference alg5 with its own inward sweep, which heads for the lowest
     unserved request behind the server, else home."""
 
-    def __init__(self):
-        self.steps = [("_out",), ("_sweep_home",)]
+    def begin(self, ctx):
+        super().begin(ctx)
+        self.steps = [("go", self.limit), ("_sweep_home",)]
 
     def _sweep_home(self, obs):
         pos = obs.position
